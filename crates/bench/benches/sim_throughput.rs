@@ -22,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use smt_core::{FetchPolicy, SimConfig, Simulator};
+use smt_core::{FetchPolicy, Observers, SimConfig, Simulator};
 use smt_experiments::{json, Cell};
 use smt_isa::builder::ProgramBuilder;
 use smt_isa::Program;
@@ -210,12 +210,16 @@ fn bench_trace_overhead(out: &mut Vec<CaseResult>, opts: &Opts) {
     bench_case(out, opts, "trace_overhead/matrix/cpi_stack", || {
         let mut cpi = smt_trace::CpiStack::new(config.block_size as u32);
         let mut sim = Simulator::new(config.clone(), &program);
-        sim.run_traced(&mut cpi).expect("runs").cycles
+        sim.run_with(Observers::trace(&mut cpi))
+            .expect("runs")
+            .cycles
     });
     bench_case(out, opts, "trace_overhead/matrix/full_tracer", || {
         let mut tracer = smt_trace::Tracer::new(config.trace_shape(), 1 << 12);
         let mut sim = Simulator::new(config.clone(), &program);
-        sim.run_traced(&mut tracer).expect("runs").cycles
+        sim.run_with(Observers::trace(&mut tracer))
+            .expect("runs")
+            .cycles
     });
 }
 

@@ -11,104 +11,49 @@
 //! The exit code is always 0: shared CI runners are far too noisy to gate
 //! a merge on throughput (single-digit-percent signal under tens-of-percent
 //! noise), so the gate's job is to leave a visible annotation a human can
-//! weigh, not to block. The repository has no JSON parser dependency; the
-//! extractor below reads just the subset our own writer emits (objects,
-//! strings, numbers).
+//! weigh, not to block.
 
 use std::process::ExitCode;
+
+use smt_experiments::json::{parse_value, Value};
 
 /// Regression threshold: warn when `current / recorded < 0.85`.
 const THRESHOLD: f64 = 0.85;
 
-/// Extracts `(depth-1 object key, full key path, number)` triples from a
-/// JSON subset: nested objects, string keys, number/string values. Strings
-/// never nest and escapes only matter for skipping — which is all the
-/// trajectory file's prose notes need.
-fn number_fields(text: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    let mut path: Vec<String> = Vec::new();
-    let mut key: Option<String> = None;
-    let mut chars = text.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                let start = i + 1;
-                let mut end = start;
-                while let Some((j, d)) = chars.next() {
-                    if d == '\\' {
-                        chars.next();
-                    } else if d == '"' {
-                        end = j;
-                        break;
-                    }
-                }
-                let s = text[start..end].to_string();
-                // A string before a ':' is a key; after one, a value.
-                if key.is_none() {
-                    key = Some(s);
-                } else {
-                    key = None;
-                }
-            }
-            '{' => {
-                path.push(key.take().unwrap_or_default());
-            }
-            '}' => {
-                path.pop();
-            }
-            '0'..='9' | '-' => {
-                let start = i;
-                let mut end = text.len();
-                while let Some(&(j, d)) = chars.peek() {
-                    if d.is_ascii_digit() || matches!(d, '.' | 'e' | 'E' | '+' | '-') {
-                        chars.next();
-                    } else {
-                        end = j;
-                        break;
-                    }
-                }
-                if let (Some(k), Ok(v)) = (key.take(), text[start..end].parse::<f64>()) {
-                    let top = path.last().cloned().unwrap_or_default();
-                    out.push((top, k, v));
-                }
-            }
-            _ => {}
-        }
+/// The members of a top-level JSON object; empty for anything else
+/// (unreadable or malformed input leaves nothing to compare).
+fn members(text: &str) -> Vec<(String, Value)> {
+    match parse_value(text) {
+        Ok(Value::Object(members)) => members,
+        _ => Vec::new(),
     }
-    out
+}
+
+/// The `case → Mcycles/s` numbers among `members`, in order.
+fn mcycles(members: &[(String, Value)]) -> Vec<(String, f64)> {
+    members
+        .iter()
+        .filter_map(|(k, v)| Some((k.strip_suffix("/mcycles_per_s")?.to_string(), v.as_f64()?)))
+        .collect()
 }
 
 /// The flat `case → Mcycles/s` map of a `--json` bench dump.
 fn bench_cases(text: &str) -> Vec<(String, f64)> {
-    number_fields(text)
-        .into_iter()
-        .filter_map(|(_, k, v)| {
-            k.strip_suffix("/mcycles_per_s")
-                .map(|case| (case.to_string(), v))
-        })
-        .collect()
+    mcycles(&members(text))
 }
 
 /// The newest `pr*` entry of the trajectory file: its direct
-/// `case → Mcycles/s` children (ratio blocks like `vs_pr6` sit one level
-/// deeper and are excluded by the owning-object check).
+/// `case → Mcycles/s` children (ratio blocks like `vs_pr6` are nested
+/// objects, not numbers, and drop out).
 fn last_recorded(text: &str) -> (String, Vec<(String, f64)>) {
-    let fields = number_fields(text);
-    let last_pr = fields
+    members(text)
         .iter()
-        .map(|(top, _, _)| top)
-        .rfind(|t| t.starts_with("pr"))
-        .cloned()
-        .unwrap_or_default();
-    let cases = fields
-        .into_iter()
-        .filter(|(top, _, _)| *top == last_pr)
-        .filter_map(|(_, k, v)| {
-            k.strip_suffix("/mcycles_per_s")
-                .map(|case| (case.to_string(), v))
+        .rev()
+        .find_map(|(k, v)| match v {
+            Value::Object(entry) if k.starts_with("pr") => Some((k.clone(), mcycles(entry))),
+            _ => None,
         })
-        .collect();
-    (last_pr, cases)
+        .unwrap_or_default()
 }
 
 fn main() -> ExitCode {
@@ -206,15 +151,32 @@ mod tests {
     }
 
     #[test]
-    fn strings_with_braces_do_not_break_nesting() {
-        // The _file doc and prose notes contain braces; depth tracking must
-        // ignore them or pr attribution collapses.
-        let fields = number_fields(TRAJECTORY);
-        assert!(fields
-            .iter()
-            .any(|(top, k, v)| top == "pr1" && k == "other/case/mcycles_per_s" && *v == 1.0));
-        assert!(fields
-            .iter()
-            .any(|(top, k, _)| top == "vs_pr1" && k == "simulate/4thr/Matrix"));
+    fn the_recorded_trajectory_selects_its_newest_entry() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_sim_throughput.json"
+        );
+        let text = std::fs::read_to_string(path).expect("trajectory file is readable");
+        let (entry, cases) = last_recorded(&text);
+        assert_eq!(entry, "pr7");
+        let names: Vec<&str> = cases.iter().map(|(c, _)| c.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "simulate/4thr/Matrix",
+                "simulate/4thr/LL7",
+                "simulate/4thr/Sieve",
+                "store_forwarding/4thr/dense",
+                "store_forwarding/4thr/deep_su",
+                "fetch_policy_overhead/TrueRoundRobin",
+                "fetch_policy_overhead/MaskedRoundRobin",
+                "fetch_policy_overhead/ConditionalSwitch",
+                "trace_overhead/matrix/off",
+                "trace_overhead/matrix/cpi_stack",
+                "trace_overhead/matrix/full_tracer",
+                "functional_interpreter/matrix",
+            ]
+        );
+        assert_eq!(cases[0].1, 3.13);
     }
 }

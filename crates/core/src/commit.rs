@@ -4,7 +4,7 @@
 //! The cycle simulator's only externally visible contract is its commit
 //! stream — which instructions retire, in what order, with what register
 //! and memory effects. A [`CommitSink`] taps that stream without touching
-//! the machine: [`Simulator::run_observed`] delivers one [`Retirement`]
+//! the machine: [`Simulator::run_with`], given one, delivers a [`Retirement`]
 //! per architecturally retiring instruction, and the default
 //! [`Simulator::run`] path compiles to exactly the code it had before the
 //! sink existed (the sink is an `Option` checked once per retirement; no
@@ -16,7 +16,7 @@
 //! architectural (the instruction refetches) and are not delivered.
 //!
 //! [`Simulator::run`]: crate::Simulator::run
-//! [`Simulator::run_observed`]: crate::Simulator::run_observed
+//! [`Simulator::run_with`]: crate::Simulator::run_with
 
 use smt_isa::{DecodedInsn, Opcode, Reg};
 use smt_mem::MemError;
@@ -72,7 +72,7 @@ pub trait CommitSink {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::sim::Simulator;
+    use crate::sim::{Observers, Simulator};
     use smt_isa::builder::ProgramBuilder;
 
     /// Records the stream for assertions.
@@ -102,7 +102,9 @@ mod tests {
 
         let mut sim = Simulator::new(SimConfig::default().with_threads(2), &p);
         let mut rec = Recorder::default();
-        let stats = sim.run_observed(&mut rec).expect("program completes");
+        let stats = sim
+            .run_with(Observers::commits(&mut rec))
+            .expect("program completes");
 
         assert_eq!(
             rec.events.len() as u64,
@@ -164,7 +166,7 @@ mod tests {
         let plain_stats = plain.run().unwrap();
         let mut observed = Simulator::new(SimConfig::default(), &p);
         let mut rec = Recorder::default();
-        let observed_stats = observed.run_observed(&mut rec).unwrap();
+        let observed_stats = observed.run_with(Observers::commits(&mut rec)).unwrap();
         assert_eq!(plain_stats, observed_stats, "observation changes nothing");
         assert_eq!(plain.reg_file(), observed.reg_file());
         assert_eq!(plain.memory().words(), observed.memory().words());
@@ -181,7 +183,9 @@ mod tests {
         let p = b.build(1).unwrap();
         let mut sim = Simulator::new(SimConfig::default().with_threads(1), &p);
         let mut rec = Recorder::default();
-        let err = sim.run_observed(&mut rec).expect_err("store faults");
+        let err = sim
+            .run_with(Observers::commits(&mut rec))
+            .expect_err("store faults");
         let last = rec.events.last().expect("fault event delivered");
         let fault = last.fault.expect("last event carries the fault");
         assert!(matches!(

@@ -1,7 +1,9 @@
 //! Simulator configuration — the knobs of the paper's Table 2.
 
 use std::fmt;
+use std::str::FromStr;
 
+use smt_isa::spelling::{Spelling, Spellings};
 use smt_isa::MAX_THREADS;
 use smt_mem::{CacheConfig, CacheKind};
 use smt_uarch::{FuConfig, PredictorKind};
@@ -31,14 +33,57 @@ pub enum FetchPolicy {
     Icount,
 }
 
+impl FetchPolicy {
+    /// Every spelling of every policy: cell-id abbreviation, display
+    /// text, and the command-line aliases.
+    pub const SPELLINGS: Spellings<FetchPolicy> = Spellings {
+        what: "fetch policy",
+        rows: &[
+            Spelling {
+                value: FetchPolicy::TrueRoundRobin,
+                id: "trr",
+                display: "True Round Robin",
+                aliases: &["truerr", "true-round-robin"],
+            },
+            Spelling {
+                value: FetchPolicy::MaskedRoundRobin,
+                id: "mrr",
+                display: "Masked Round Robin",
+                aliases: &["maskedrr", "masked-round-robin"],
+            },
+            Spelling {
+                value: FetchPolicy::ConditionalSwitch,
+                id: "cs",
+                display: "Conditional Switch",
+                aliases: &["cswitch", "cond", "conditional-switch"],
+            },
+            Spelling {
+                value: FetchPolicy::Icount,
+                id: "ic",
+                display: "ICOUNT",
+                aliases: &["icount"],
+            },
+        ],
+    };
+
+    /// Short stable identifier for cell ids and the serve wire.
+    #[must_use]
+    pub fn abbrev(self) -> &'static str {
+        Self::SPELLINGS.id(self)
+    }
+}
+
 impl fmt::Display for FetchPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FetchPolicy::TrueRoundRobin => "True Round Robin",
-            FetchPolicy::MaskedRoundRobin => "Masked Round Robin",
-            FetchPolicy::ConditionalSwitch => "Conditional Switch",
-            FetchPolicy::Icount => "ICOUNT",
-        })
+        f.write_str(Self::SPELLINGS.display(*self))
+    }
+}
+
+impl FromStr for FetchPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::SPELLINGS.parse(s)
     }
 }
 
@@ -542,6 +587,36 @@ pub mod warm {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fetch_policy_spellings_round_trip() {
+        use FetchPolicy::*;
+        for p in [TrueRoundRobin, MaskedRoundRobin, ConditionalSwitch, Icount] {
+            assert_eq!(p.abbrev().parse::<FetchPolicy>(), Ok(p));
+            assert_eq!(p.to_string().parse::<FetchPolicy>(), Ok(p));
+            assert_eq!(FetchPolicy::SPELLINGS.from_id(p.abbrev()), Some(p));
+        }
+        // `smt-sim --fetch` and `trace --policy` spellings accepted before
+        // the table existed.
+        for (alias, p) in [
+            ("truerr", TrueRoundRobin),
+            ("true-round-robin", TrueRoundRobin),
+            ("maskedrr", MaskedRoundRobin),
+            ("masked-round-robin", MaskedRoundRobin),
+            ("cswitch", ConditionalSwitch),
+            ("cond", ConditionalSwitch),
+            ("COND", ConditionalSwitch),
+            ("conditional-switch", ConditionalSwitch),
+            ("icount", Icount),
+        ] {
+            assert_eq!(alias.parse::<FetchPolicy>(), Ok(p), "{alias}");
+            assert_eq!(FetchPolicy::SPELLINGS.from_id(alias), None, "{alias}");
+        }
+        assert_eq!(
+            "zz".parse::<FetchPolicy>(),
+            Err("unknown fetch policy `zz` (expected trr|mrr|cs|ic)".to_string())
+        );
+    }
 
     #[test]
     fn default_matches_table2() {

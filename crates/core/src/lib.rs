@@ -55,7 +55,8 @@
 //!
 //! Pipeline observability (lifecycle tracing, CPI-stack stall attribution,
 //! occupancy telemetry) lives in the re-exported [`trace`] crate; attach a
-//! [`trace::TraceSink`] with [`Simulator::run_traced`]. With no sink the
+//! [`trace::TraceSink`] through [`Observers`] with [`Simulator::run_with`]
+//! or [`Simulator::step_with`]. With no sink the
 //! event plumbing compiles away — traced and untraced runs are
 //! cycle-for-cycle identical, and untraced runs pay nothing.
 
@@ -73,8 +74,9 @@ pub use smt_trace as trace;
 pub use commit::{CommitSink, Retirement};
 pub use config::{CommitPolicy, ConfigError, FetchPolicy, RenamingMode, SimConfig};
 pub use error::SimError;
-pub use sim::{config_identity, program_identity, Simulator};
+pub use sim::{config_identity, program_identity, Observers, Simulator, ThreadPrograms};
 pub use smt_checkpoint::Snapshot;
+pub use smt_isa::spelling::Spellings;
 pub use smt_uarch::PredictorKind;
 pub use stats::{BranchStats, SimStats};
 pub use trace::{TraceEvent, TraceSink};

@@ -66,7 +66,73 @@ pub fn program_identity(program: &Program) -> u64 {
     smt_checkpoint::stable_hash(&(program.text(), program.entry(), program.data()))
 }
 
-/// The simulator. Owns all machine state for one run of one program.
+/// The program(s) a machine runs: one program every hardware thread
+/// shares (SPMD), or a heterogeneous **mix** of one program per thread.
+///
+/// Converts from `&Program` and from a slice (or array) of `&Program`s:
+/// a one-element slice is the shared form, a `threads`-element slice a
+/// mix (see [`Simulator::try_new`]).
+#[derive(Clone, Debug)]
+pub struct ThreadPrograms<'p>(Vec<&'p Program>);
+
+impl<'p> From<&'p Program> for ThreadPrograms<'p> {
+    fn from(program: &'p Program) -> Self {
+        ThreadPrograms(vec![program])
+    }
+}
+
+impl<'p> From<&[&'p Program]> for ThreadPrograms<'p> {
+    fn from(programs: &[&'p Program]) -> Self {
+        ThreadPrograms(programs.to_vec())
+    }
+}
+
+impl<'p, const N: usize> From<&[&'p Program; N]> for ThreadPrograms<'p> {
+    fn from(programs: &[&'p Program; N]) -> Self {
+        ThreadPrograms(programs.to_vec())
+    }
+}
+
+impl<'p> From<&'p [Program]> for ThreadPrograms<'p> {
+    fn from(programs: &'p [Program]) -> Self {
+        ThreadPrograms(programs.iter().collect())
+    }
+}
+
+/// The observers of a run or step: an optional [`CommitSink`] for the
+/// architectural commit stream and an optional [`TraceSink`] for the
+/// pipeline lifecycle events. Observers see the machine; they cannot
+/// perturb it.
+#[derive(Default)]
+pub struct Observers<'a> {
+    /// Receives every retirement, in commit order.
+    pub commits: Option<&'a mut dyn CommitSink>,
+    /// Receives every lifecycle event.
+    pub trace: Option<&'a mut dyn TraceSink>,
+}
+
+impl<'a> Observers<'a> {
+    /// A commit sink alone.
+    #[must_use]
+    pub fn commits(sink: &'a mut dyn CommitSink) -> Self {
+        Observers {
+            commits: Some(sink),
+            trace: None,
+        }
+    }
+
+    /// A trace sink alone.
+    #[must_use]
+    pub fn trace(sink: &'a mut dyn TraceSink) -> Self {
+        Observers {
+            commits: None,
+            trace: Some(sink),
+        }
+    }
+}
+
+/// The simulator. Owns all machine state for one run of one program
+/// (or one program per thread, see [`ThreadPrograms`]).
 ///
 /// ```
 /// use smt_core::{SimConfig, Simulator};
@@ -148,52 +214,45 @@ impl<'p> Simulator<'p> {
     /// the register partition; use [`Simulator::try_new`] for a fallible
     /// variant.
     #[must_use]
-    pub fn new(config: SimConfig, program: &'p Program) -> Self {
-        Self::try_new(config, program).expect("valid configuration and compatible program")
+    pub fn new(config: SimConfig, programs: impl Into<ThreadPrograms<'p>>) -> Self {
+        Self::try_new(config, programs).expect("valid configuration and compatible program")
     }
 
     /// Fallible constructor.
     ///
-    /// # Errors
-    ///
-    /// * [`SimError::Config`] if the configuration fails validation,
-    /// * [`SimError::RegisterWindow`] if the program names a register
-    ///   outside the per-thread window implied by the thread count.
-    pub fn try_new(config: SimConfig, program: &'p Program) -> Result<Self, SimError> {
-        Self::build(config, vec![program], false)
-    }
-
-    /// Fallible constructor for a heterogeneous **program mix**: one
-    /// program per hardware thread. Each thread fetches and decodes its
-    /// own text, owns a private segment of the flat data memory (its
-    /// program's image, bounds-checked against its own size so faults
-    /// carry thread-local addresses), and sees itself as thread 0 of a
-    /// 1-thread machine — architecturally, `threads` independent
+    /// `programs` is one program every thread runs (SPMD: thread `tid`
+    /// of `threads` starts with `r0 = tid`, `r1 = threads`), or a
+    /// **program mix** of exactly `config.threads` programs, one per
+    /// hardware thread (see [`ThreadPrograms`]). A mix thread fetches and
+    /// decodes its own text, owns a private segment of the flat data
+    /// memory (its program's image, bounds-checked against its own size
+    /// so faults carry thread-local addresses), and sees itself as thread
+    /// 0 of a 1-thread machine — architecturally, `threads` independent
     /// single-threaded programs sharing one pipeline, cache, and store
-    /// buffer.
-    ///
-    /// A single-thread mix is canonicalized to the homogeneous form (the
-    /// two are architecturally identical), so its snapshots interchange
-    /// with [`try_new`](Self::try_new)'s.
+    /// buffer. A one-program slice is the shared form, so a 1-thread mix
+    /// and its snapshots are interchangeable with the SPMD machine's.
     ///
     /// # Errors
     ///
-    /// * [`SimError::Program`] if `programs` does not hold exactly
-    ///   `config.threads` entries,
-    /// * everything [`try_new`](Self::try_new) reports.
-    pub fn try_new_mix(config: SimConfig, programs: &[&'p Program]) -> Result<Self, SimError> {
-        if programs.len() != config.threads {
-            return Err(SimError::Program(format!(
-                "mix of {} programs for {} threads",
-                programs.len(),
-                config.threads
-            )));
-        }
-        let multiprogram = config.threads > 1;
-        let programs = if multiprogram {
-            programs.to_vec()
-        } else {
-            vec![programs[0]]
+    /// * [`SimError::Program`] if a mix does not hold exactly
+    ///   `config.threads` programs,
+    /// * [`SimError::Config`] if the configuration fails validation,
+    /// * [`SimError::RegisterWindow`] if a program names a register
+    ///   outside the per-thread window implied by the thread count.
+    pub fn try_new(
+        config: SimConfig,
+        programs: impl Into<ThreadPrograms<'p>>,
+    ) -> Result<Self, SimError> {
+        let programs = programs.into().0;
+        let multiprogram = match programs.len() {
+            1 => false,
+            n if n == config.threads => true,
+            n => {
+                return Err(SimError::Program(format!(
+                    "mix of {n} programs for {} threads",
+                    config.threads
+                )))
+            }
         };
         Self::build(config, programs, multiprogram)
     }
@@ -434,44 +493,22 @@ impl<'p> Simulator<'p> {
         self.run_inner(None, None)
     }
 
-    /// Runs to completion, delivering every architecturally retired
-    /// instruction to `sink` in commit order (see [`CommitSink`]).
+    /// Runs to completion with `observers` attached: the commit sink
+    /// receives every architecturally retired instruction in commit order
+    /// (see [`CommitSink`]), the trace sink every pipeline lifecycle event
+    /// (see [`TraceSink`]).
     ///
-    /// Behaviorally identical to [`run`](Self::run): the sink observes the
-    /// machine, it cannot perturb it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run). On a commit-time memory fault the sink
-    /// receives one final event with [`Retirement::fault`] set before the
-    /// error is returned.
-    pub fn run_observed(&mut self, sink: &mut dyn CommitSink) -> Result<SimStats, SimError> {
-        self.run_inner(Some(sink), None)
-    }
-
-    /// Runs to completion, emitting every pipeline lifecycle event into
-    /// `trace` (see [`TraceSink`]). Like a commit sink, a trace sink
-    /// observes the machine but cannot perturb it: traced and untraced runs
-    /// are cycle-for-cycle identical.
+    /// Behaviorally identical to [`run`](Self::run): observers see the
+    /// machine, they cannot perturb it — observed and unobserved runs are
+    /// cycle-for-cycle identical.
     ///
     /// # Errors
     ///
-    /// Same as [`run`](Self::run).
-    pub fn run_traced(&mut self, trace: &mut dyn TraceSink) -> Result<SimStats, SimError> {
-        self.run_inner(None, Some(trace))
-    }
-
-    /// Runs with both a commit sink and a trace sink attached.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_observed`](Self::run_observed).
-    pub fn run_observed_traced(
-        &mut self,
-        sink: &mut dyn CommitSink,
-        trace: &mut dyn TraceSink,
-    ) -> Result<SimStats, SimError> {
-        self.run_inner(Some(sink), Some(trace))
+    /// Same as [`run`](Self::run). On a commit-time memory fault the
+    /// commit sink receives one final event with [`Retirement::fault`]
+    /// set before the error is returned.
+    pub fn run_with(&mut self, observers: Observers<'_>) -> Result<SimStats, SimError> {
+        self.run_inner(observers.commits, observers.trace)
     }
 
     fn run_inner(
@@ -500,22 +537,14 @@ impl<'p> Simulator<'p> {
         self.step_inner(None, None)
     }
 
-    /// Advances one cycle, delivering any retirements to `sink`.
+    /// Advances one cycle with `observers` attached (see
+    /// [`run_with`](Self::run_with)).
     ///
     /// # Errors
     ///
     /// Same as [`step`](Self::step).
-    pub fn step_observed(&mut self, sink: &mut dyn CommitSink) -> Result<(), SimError> {
-        self.step_inner(Some(sink), None)
-    }
-
-    /// Advances one cycle, emitting lifecycle events into `trace`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](Self::step).
-    pub fn step_traced(&mut self, trace: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.step_inner(None, Some(trace))
+    pub fn step_with(&mut self, observers: Observers<'_>) -> Result<(), SimError> {
+        self.step_inner(observers.commits, observers.trace)
     }
 
     fn step_inner(
@@ -1595,12 +1624,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Data-cache counters so far (convenience for tests).
-    #[must_use]
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.cache.stats()
-    }
-
     // ---- checkpoint / restore -------------------------------------------------
 
     /// Captures the complete machine state as a versioned [`Snapshot`].
@@ -1771,8 +1794,8 @@ impl<'p> Simulator<'p> {
     /// the forked run measures exactly its own window.
     ///
     /// `config` may differ from the snapshot's source configuration only
-    /// in the snapshot's relaxed fields; the program identity must match
-    /// exactly.
+    /// in the snapshot's relaxed fields; the program identities must match
+    /// exactly, position by position for a mix.
     ///
     /// # Errors
     ///
@@ -1784,30 +1807,10 @@ impl<'p> Simulator<'p> {
     /// * whatever [`try_new`](Self::try_new) reports.
     pub fn fork_warm(
         config: SimConfig,
-        program: &'p Program,
+        programs: impl Into<ThreadPrograms<'p>>,
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
-        let mut sim = Self::try_new(config, program)?;
-        sim.check_warm_identity(snapshot)?;
-        sim.apply_warm(snapshot)
-            .map_err(|e| SimError::Snapshot(e.to_string()))?;
-        Ok(sim)
-    }
-
-    /// [`fork_warm`](Self::fork_warm) for a heterogeneous mix. The
-    /// snapshot's per-thread identity vector must match the mix position
-    /// by position.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`fork_warm`](Self::fork_warm), plus [`SimError::Program`]
-    /// for a mix of the wrong arity.
-    pub fn fork_warm_mix(
-        config: SimConfig,
-        programs: &[&'p Program],
-        snapshot: &Snapshot,
-    ) -> Result<Self, SimError> {
-        let mut sim = Self::try_new_mix(config, programs)?;
+        let mut sim = Self::try_new(config, programs)?;
         sim.check_warm_identity(snapshot)?;
         sim.apply_warm(snapshot)
             .map_err(|e| SimError::Snapshot(e.to_string()))?;
@@ -1892,17 +1895,19 @@ impl<'p> Simulator<'p> {
     }
 
     /// Rebuilds a simulator from a [`checkpoint`](Self::checkpoint)
-    /// taken under the same configuration and program.
+    /// taken under the same configuration and program(s). A mix's
+    /// snapshot must match the mix **position by position** — restoring
+    /// under a permuted or partially swapped mix fails closed.
     ///
     /// # Errors
     ///
     /// * [`SimError::Snapshot`] if the snapshot's identity hashes do
-    ///   not match `config`/`program`, or its payload fails to decode;
+    ///   not match `config`/`programs`, or its payload fails to decode;
     /// * whatever [`try_new`](Self::try_new) reports for the
     ///   configuration/program pair itself.
     pub fn restore(
         config: SimConfig,
-        program: &'p Program,
+        programs: impl Into<ThreadPrograms<'p>>,
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
         if snapshot.warm.is_some() {
@@ -1917,47 +1922,7 @@ impl<'p> Simulator<'p> {
                 snapshot.config_hash
             )));
         }
-        let want = program_identity(program);
-        if snapshot.program_hashes.as_slice() != [want] {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was taken of program(s) {:#018x?}, not [{want:#018x}]",
-                snapshot.program_hashes
-            )));
-        }
-        let mut sim = Self::try_new(config, program)?;
-        sim.apply_snapshot(snapshot)
-            .map_err(|e| SimError::Snapshot(e.to_string()))?;
-        Ok(sim)
-    }
-
-    /// Rebuilds a simulator from a snapshot of a heterogeneous mix taken
-    /// under the same configuration and per-thread programs. The
-    /// snapshot's identity vector must match the mix **position by
-    /// position** — restoring under a permuted or partially swapped mix
-    /// fails closed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`restore`](Self::restore), plus
-    /// [`SimError::Program`] for a mix of the wrong arity.
-    pub fn restore_mix(
-        config: SimConfig,
-        programs: &[&'p Program],
-        snapshot: &Snapshot,
-    ) -> Result<Self, SimError> {
-        if snapshot.warm.is_some() {
-            return Err(SimError::Snapshot(
-                "warm snapshot holds architectural state only; use fork_warm_mix()".into(),
-            ));
-        }
-        let want = config_identity(&config);
-        if snapshot.config_hash != want {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was taken under config {:#018x}, not {want:#018x}",
-                snapshot.config_hash
-            )));
-        }
-        let mut sim = Self::try_new_mix(config, programs)?;
+        let mut sim = Self::try_new(config, programs)?;
         let want = sim.identity_vec();
         if snapshot.program_hashes != want {
             return Err(SimError::Snapshot(format!(
@@ -2648,7 +2613,7 @@ mod tests {
         let a = sum_program();
         let b = pattern_program();
         let config = SimConfig::default().with_threads(2);
-        let mut sim = Simulator::try_new_mix(config, &[&a, &b]).unwrap();
+        let mut sim = Simulator::try_new(config, &[&a, &b]).unwrap();
         assert!(sim.is_multiprogram());
         let stats = sim.run().unwrap();
         let w = window_size(2);
@@ -2681,17 +2646,17 @@ mod tests {
         let a = sum_program();
         let b = pattern_program();
         let config = SimConfig::default().with_threads(2);
-        let mut reference = Simulator::try_new_mix(config.clone(), &[&a, &b]).unwrap();
+        let mut reference = Simulator::try_new(config.clone(), &[&a, &b]).unwrap();
         let ref_stats = reference.run().unwrap();
 
-        let mut sim = Simulator::try_new_mix(config.clone(), &[&a, &b]).unwrap();
+        let mut sim = Simulator::try_new(config.clone(), &[&a, &b]).unwrap();
         for _ in 0..23 {
             sim.step().unwrap();
         }
         let bytes = sim.checkpoint().to_bytes();
         let snap = smt_checkpoint::Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.program_hashes.len(), 2, "mix identity is per-thread");
-        let mut resumed = Simulator::restore_mix(config, &[&a, &b], &snap).unwrap();
+        let mut resumed = Simulator::restore(config, &[&a, &b], &snap).unwrap();
         let stats = resumed.run().unwrap();
 
         assert_eq!(stats, ref_stats, "resumed stats must match uninterrupted");
@@ -2705,13 +2670,13 @@ mod tests {
         let a = sum_program();
         let b = pattern_program();
         let config = SimConfig::default().with_threads(2);
-        let mut sim = Simulator::try_new_mix(config.clone(), &[&a, &b]).unwrap();
+        let mut sim = Simulator::try_new(config.clone(), &[&a, &b]).unwrap();
         sim.step().unwrap();
         let snap = sim.checkpoint();
 
         // Swapped mix order: the identity vector is positional.
         assert!(matches!(
-            Simulator::restore_mix(config.clone(), &[&b, &a], &snap),
+            Simulator::restore(config.clone(), &[&b, &a], &snap),
             Err(SimError::Snapshot(_))
         ));
         // A mix snapshot is not a homogeneous snapshot of either program.
@@ -2724,7 +2689,7 @@ mod tests {
         homog.step().unwrap();
         let hsnap = homog.checkpoint();
         assert!(matches!(
-            Simulator::restore_mix(config, &[&a, &a], &hsnap),
+            Simulator::restore(config, &[&a, &a], &hsnap),
             Err(SimError::Snapshot(_))
         ));
     }
@@ -2735,11 +2700,27 @@ mod tests {
         // their snapshots interchange.
         let p = pattern_program();
         let config = SimConfig::default().with_threads(1);
-        let mut sim = Simulator::try_new_mix(config.clone(), &[&p]).unwrap();
+        let mut sim = Simulator::try_new(config.clone(), &[&p]).unwrap();
         assert!(!sim.is_multiprogram());
         sim.step().unwrap();
         let snap = sim.checkpoint();
         assert!(Simulator::restore(config, &p, &snap).is_ok());
+    }
+
+    #[test]
+    fn program_slices_are_shared_or_per_thread() {
+        let p = pattern_program();
+        let config = SimConfig::default().with_threads(2);
+        let shared = Simulator::try_new(config.clone(), &[&p]).unwrap();
+        assert!(!shared.is_multiprogram());
+        let mix = Simulator::try_new(config.clone(), &[&p, &p]).unwrap();
+        assert!(mix.is_multiprogram());
+        for wrong in [&[][..], &[&p, &p, &p][..]] {
+            assert!(matches!(
+                Simulator::try_new(config.clone(), wrong),
+                Err(SimError::Program(_))
+            ));
+        }
     }
 
     #[test]
@@ -2869,7 +2850,7 @@ mod tests {
         let a = sum_program();
         let b = pattern_program();
         let config = SimConfig::default().with_threads(2);
-        let mut sim = Simulator::try_new_mix(config.clone(), &[&a, &b]).unwrap();
+        let mut sim = Simulator::try_new(config.clone(), &[&a, &b]).unwrap();
         for _ in 0..25 {
             sim.step().unwrap();
         }
@@ -2877,7 +2858,7 @@ mod tests {
         let snap = sim.checkpoint_warm(&[warm::SU_DEPTH, warm::CACHE]).unwrap();
 
         let variant = config.clone().with_su_depth(8);
-        let mut fork = Simulator::fork_warm_mix(variant, &[&a, &b], &snap).unwrap();
+        let mut fork = Simulator::fork_warm(variant, &[&a, &b], &snap).unwrap();
         fork.run().unwrap();
         let w = window_size(2);
         for (tid, p) in [(0usize, &a), (1, &b)] {
@@ -2895,7 +2876,7 @@ mod tests {
 
         // The mix fork gate is positional, like exact restore.
         assert!(matches!(
-            Simulator::fork_warm_mix(config.clone().with_su_depth(8), &[&b, &a], &snap),
+            Simulator::fork_warm(config.clone().with_su_depth(8), &[&b, &a], &snap),
             Err(SimError::Snapshot(_))
         ));
     }

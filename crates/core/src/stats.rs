@@ -130,22 +130,6 @@ impl SimStats {
             self.su_occupancy_sum as f64 / self.cycles as f64
         }
     }
-
-    /// Mean instructions issued per cycle (from the issue histogram).
-    #[must_use]
-    pub fn avg_issue_width(&self) -> f64 {
-        let cycles: u64 = self.issue_histogram.iter().sum();
-        if cycles == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .issue_histogram
-            .iter()
-            .enumerate()
-            .map(|(w, &c)| w as u64 * c)
-            .sum();
-        weighted as f64 / cycles as f64
-    }
 }
 
 /// The paper's speedup formula (Section 5.2):

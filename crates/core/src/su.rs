@@ -499,14 +499,6 @@ impl SchedulingUnit {
         None
     }
 
-    /// Position of the block with id `bid`, if still resident — for callers
-    /// holding stable `(block id, entry index)` references (e.g. the
-    /// simulator's memory-sync queue).
-    #[must_use]
-    pub fn position_of(&self, bid: u64) -> Option<usize> {
-        self.pos_of(bid)
-    }
-
     // ---- block-level reads ----------------------------------------------------------
 
     /// Block id of the block at position `i` (0 = oldest).
@@ -525,12 +517,6 @@ impl SchedulingUnit {
     #[must_use]
     pub fn block_len(&self, i: usize) -> usize {
         self.row_len[self.row(i)] as usize
-    }
-
-    /// Whether any entry of the block is still waiting to issue.
-    #[must_use]
-    pub fn has_unissued(&self, i: usize) -> bool {
-        self.mask_unissued[self.row(i)] != 0
     }
 
     /// Whether any entry of the block carries a deferred fault.
@@ -676,12 +662,6 @@ impl SchedulingUnit {
     #[must_use]
     pub fn target_at(&self, bi: usize, ei: usize) -> usize {
         self.target[self.handle(bi, ei)] as usize
-    }
-
-    /// Whether entry `(bi, ei)` was found mispredicted at execute.
-    #[must_use]
-    pub fn mispredicted_at(&self, bi: usize, ei: usize) -> bool {
-        self.flags[self.handle(bi, ei)] & F_MISPREDICTED != 0
     }
 
     /// Whether the committed store at `(bi, ei)` is already in the store

@@ -255,12 +255,6 @@ impl CorpusWorkload {
         &self.source_file
     }
 
-    /// The check predicate this workload is verified against.
-    #[must_use]
-    pub fn check_kind(&self) -> CheckKind {
-        self.check
-    }
-
     /// The scale-resolved layout (region bases, sizes).
     #[must_use]
     pub fn layout(&self, scale: Scale) -> Layout {
@@ -533,10 +527,7 @@ const KNOWN_KEYS: &[&str] = &[
 
 fn load_workload(dir: &Path, section: &Section) -> Result<CorpusWorkload, CorpusError> {
     let name = section.name.as_str();
-    if let Some(kind) = WorkloadKind::ALL
-        .iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-    {
+    if let Ok(kind) = name.parse::<WorkloadKind>() {
         return Err(invalid(
             name,
             format!("name collides with built-in benchmark {}", kind.name()),

@@ -22,10 +22,10 @@
 
 use std::process::ExitCode;
 
-use smt_core::{FetchPolicy, SimConfig, SimStats, Simulator};
+use smt_core::{FetchPolicy, Observers, SimConfig, SimStats, Simulator};
 use smt_corpus::{Corpus, CorpusWorkload};
 use smt_isa::Program;
-use smt_oracle::{verify, verify_mix};
+use smt_oracle::verify;
 use smt_trace::{CpiBreakdown, CpiStack, SlotCause};
 use smt_workloads::Scale;
 
@@ -40,10 +40,11 @@ fn config(threads: usize, policy: FetchPolicy) -> SimConfig {
         .with_max_cycles(MAX_CYCLES)
 }
 
-/// Runs `programs[tid]` on thread `tid` and checks each thread's memory
-/// segment against its kernel's manifest predicate. Returns the run's
-/// stats and (optionally) the CPI stack.
-fn run_mix_checked(
+/// Runs `programs[tid]` on thread `tid` (a single kernel runs solo at
+/// one thread) and checks each thread's memory segment against its
+/// kernel's manifest predicate. Returns the run's stats and (optionally)
+/// the CPI stack.
+fn run_checked(
     kernels: &[&CorpusWorkload],
     programs: &[&Program],
     cfg: SimConfig,
@@ -51,10 +52,12 @@ fn run_mix_checked(
     want_cpi: bool,
 ) -> Result<(SimStats, Option<CpiBreakdown>), String> {
     let block = cfg.block_size as u32;
-    let mut sim = Simulator::try_new_mix(cfg, programs).map_err(|e| e.to_string())?;
+    let mut sim = Simulator::try_new(cfg, programs).map_err(|e| e.to_string())?;
     let (stats, cpi) = if want_cpi {
         let mut cpi = CpiStack::new(block);
-        let stats = sim.run_traced(&mut cpi).map_err(|e| e.to_string())?;
+        let stats = sim
+            .run_with(Observers::trace(&mut cpi))
+            .map_err(|e| e.to_string())?;
         (stats, Some(cpi.finish()))
     } else {
         (sim.run().map_err(|e| e.to_string())?, None)
@@ -68,21 +71,6 @@ fn run_mix_checked(
             .map_err(|e| format!("thread {tid} ({}): {e}", kernel.name()))?;
     }
     Ok((stats, cpi))
-}
-
-/// Solo-runs one kernel at one thread with the manifest check attached.
-fn run_solo_checked(
-    kernel: &CorpusWorkload,
-    program: &Program,
-    policy: FetchPolicy,
-    scale: Scale,
-) -> Result<SimStats, String> {
-    let mut sim = Simulator::try_new(config(1, policy), program).map_err(|e| e.to_string())?;
-    let stats = sim.run().map_err(|e| e.to_string())?;
-    kernel
-        .verify(sim.memory().words(), scale)
-        .map_err(|e| format!("{}: {e}", kernel.name()))?;
-    Ok(stats)
 }
 
 /// Conformance pass: every kernel solo at 1/2/4 threads under the
@@ -106,7 +94,8 @@ fn check(corpus: &Corpus, scale: Scale) -> Result<usize, String> {
                 .map_err(|d| format!("{} at {threads} threads: oracle: {d}", kernel.name()))?;
             runs += 1;
         }
-        run_solo_checked(kernel, program, FetchPolicy::TrueRoundRobin, scale)?;
+        let cfg = config(1, FetchPolicy::TrueRoundRobin);
+        run_checked(&[kernel], &[program], cfg, scale, false)?;
         runs += 1;
     }
 
@@ -132,12 +121,12 @@ fn check(corpus: &Corpus, scale: Scale) -> Result<usize, String> {
                 .collect::<Vec<_>>()
                 .join("+")
         };
-        verify_mix(
-            &programs,
+        verify(
+            &programs[..],
             config(programs.len(), FetchPolicy::TrueRoundRobin),
         )
         .map_err(|d| format!("mix {}: oracle: {d}", label()))?;
-        run_mix_checked(
+        run_checked(
             &kernels,
             &programs,
             config(programs.len(), FetchPolicy::TrueRoundRobin),
@@ -182,7 +171,8 @@ fn report(corpus: &Corpus, scale: Scale) -> Result<String, String> {
                 .get(name)
                 .ok_or_else(|| format!("no workload {name} in the corpus"))?;
             let program = kernel.build(scale).map_err(|e| format!("{name}: {e}"))?;
-            let stats = run_solo_checked(kernel, &program, FetchPolicy::TrueRoundRobin, scale)?;
+            let cfg = config(1, FetchPolicy::TrueRoundRobin);
+            let (stats, _) = run_checked(&[kernel], &[&program], cfg, scale, false)?;
             solo.push((kernel, program, stats));
         }
     }
@@ -229,7 +219,7 @@ fn report(corpus: &Corpus, scale: Scale) -> Result<String, String> {
 
         for policy in POLICIES {
             let (stats, cpi) =
-                run_mix_checked(&kernels, &programs, config(threads, policy), scale, true)
+                run_checked(&kernels, &programs, config(threads, policy), scale, true)
                     .map_err(|e| format!("mix {label} under {policy}: {e}"))?;
             let per = stats.per_thread_ipc();
             let (lo, hi) = per.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| {

@@ -5,10 +5,10 @@
 //! it stopped.
 //!
 //! ```text
-//! debug_stuck [ll3|ll5|laplace|sieve] [threads] [--cycles N] [--last K]
+//! debug_stuck [workload, default sieve] [threads] [--cycles N] [--last K]
 //! ```
 
-use smt_core::{SimConfig, Simulator};
+use smt_core::{Observers, SimConfig, Simulator};
 use smt_trace::Tracer;
 use smt_workloads::{workload, Scale, WorkloadKind};
 
@@ -21,12 +21,10 @@ fn flag_value(args: &[String], flag: &str) -> Option<u64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind = match args.first().map(String::as_str) {
-        Some("ll3") => WorkloadKind::Ll3,
-        Some("ll5") => WorkloadKind::Ll5,
-        Some("laplace") => WorkloadKind::Laplace,
-        _ => WorkloadKind::Sieve,
-    };
+    let kind = args
+        .first()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(WorkloadKind::Sieve);
     let threads: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(6);
     let max_cycles = flag_value(&args, "--cycles").unwrap_or(200_000);
     let last_k = flag_value(&args, "--last").unwrap_or(64) as usize;
@@ -45,7 +43,7 @@ fn main() {
             println!("{}", tracer.into_breakdown().render());
             return;
         }
-        sim.step_traced(&mut tracer).unwrap();
+        sim.step_with(Observers::trace(&mut tracer)).unwrap();
     }
     println!("STUCK at cycle {}:\n{}", sim.cycle(), sim.dump());
     println!(

@@ -36,11 +36,8 @@
 use std::fmt;
 use std::time::Instant;
 
-use smt_core::{FetchPolicy, PredictorKind, SimConfig, Simulator};
-use smt_isa::Program;
-use smt_oracle::{
-    verify, verify_mix, verify_mix_with_checkpoints, verify_with_checkpoints, Divergence, Report,
-};
+use smt_core::{FetchPolicy, Observers, PredictorKind, SimConfig, Simulator, ThreadPrograms};
+use smt_oracle::{verify, verify_with_checkpoints, Divergence, Report};
 use smt_testkit::progen::{GenConfig, MixPlan, Plan};
 use smt_testkit::shrink;
 use smt_trace::Tracer;
@@ -164,17 +161,25 @@ struct Failure {
 /// Cycles either side of the divergence covered by the lifecycle window.
 const TRACE_SPAN: u64 = 32;
 
-/// Re-runs `program` with a lifecycle recorder windowed around the
+/// Re-runs `programs` with a lifecycle recorder windowed around the
 /// diverging cycle and renders the captured timeline. The rerun may end in
 /// a fault or hang (that can be the divergence itself); the window is
 /// whatever was recorded up to that point.
-fn lifecycle_window(program: &Program, frontend: FrontEnd, threads: usize, cycle: u64) -> String {
+fn lifecycle_window<'p>(
+    programs: impl Into<ThreadPrograms<'p>>,
+    frontend: FrontEnd,
+    threads: usize,
+    cycle: u64,
+) -> String {
     let cfg = config(frontend, threads);
     let (start, end) = (cycle.saturating_sub(TRACE_SPAN), cycle + TRACE_SPAN);
     let cap = usize::try_from((end - start + 1) * cfg.block_size as u64).unwrap_or(4096);
     let mut tracer = Tracer::new(cfg.trace_shape(), cap).with_window(start, end);
-    let mut sim = Simulator::new(cfg, program);
-    let outcome = sim.run_traced(&mut tracer);
+    let mut sim = match Simulator::try_new(cfg, programs) {
+        Ok(sim) => sim,
+        Err(e) => return format!("(no lifecycle window: rebuild failed: {e})\n"),
+    };
+    let outcome = sim.run_with(Observers::trace(&mut tracer));
     let mut out = format!("lifecycle window, instructions decoded in cycles {start}..={end}:\n");
     out.push_str(&tracer.lifecycle.render());
     if let Err(e) = outcome {
@@ -184,29 +189,16 @@ fn lifecycle_window(program: &Program, frontend: FrontEnd, threads: usize, cycle
 }
 
 /// Runs the oracle, optionally splicing a snapshot round-trip into the
-/// machine every `checkpoint_every` cycles.
-fn run_verify(
-    program: &Program,
+/// machine every `checkpoint_every` cycles. A mix (`programs[tid]` on
+/// thread `tid`) is checked per thread against a solo reference run.
+fn run_verify<'p>(
+    programs: impl Into<ThreadPrograms<'p>>,
     cfg: SimConfig,
     checkpoint_every: Option<u64>,
 ) -> Result<Report, Box<Divergence>> {
     match checkpoint_every {
-        Some(every) => verify_with_checkpoints(program, cfg, every),
-        None => verify(program, cfg),
-    }
-}
-
-/// The mix counterpart of [`run_verify`]: `programs[tid]` runs on thread
-/// `tid`, each checked against a solo reference run of its own program.
-fn run_verify_mix(
-    programs: &[Program],
-    cfg: SimConfig,
-    checkpoint_every: Option<u64>,
-) -> Result<Report, Box<Divergence>> {
-    let refs: Vec<&Program> = programs.iter().collect();
-    match checkpoint_every {
-        Some(every) => verify_mix_with_checkpoints(&refs, cfg, every),
-        None => verify_mix(&refs, cfg),
+        Some(every) => verify_with_checkpoints(programs, cfg, every),
+        None => verify(programs, cfg),
     }
 }
 
@@ -250,7 +242,7 @@ fn fuzz_seed(
             .unwrap_or_else(|e| panic!("seed {seed}: mix must lower at {threads} slots: {e}"));
         for frontend in MIX_FRONTENDS {
             runs += 1;
-            if let Err(d) = run_verify_mix(&programs, config(frontend, threads), checkpoint_every) {
+            if let Err(d) = run_verify(&programs[..], config(frontend, threads), checkpoint_every) {
                 return (
                     runs,
                     Some(minimize_mix(&mix, frontend, &d, trace, checkpoint_every)),
@@ -327,13 +319,13 @@ fn minimize_mix(
     let threads = mix.plans.len();
     let mask = shrink::minimize(mix.mask_len(), |mask| {
         mix.build(mask).is_ok_and(|ps| {
-            run_verify_mix(&ps, config(frontend, threads), checkpoint_every).is_err()
+            run_verify(&ps[..], config(frontend, threads), checkpoint_every).is_err()
         })
     });
     let minimized = mix
         .build(&mask)
         .expect("minimizer only keeps buildable masks");
-    let divergence = match run_verify_mix(&minimized, config(frontend, threads), checkpoint_every) {
+    let divergence = match run_verify(&minimized[..], config(frontend, threads), checkpoint_every) {
         Err(d) => *d,
         Ok(_) => original.clone(),
     };
@@ -349,7 +341,7 @@ fn minimize_mix(
         }
     }
     let window = if trace {
-        lifecycle_window_mix(&minimized, frontend, threads, divergence.cycle)
+        lifecycle_window(&minimized[..], frontend, threads, divergence.cycle)
     } else {
         String::new()
     };
@@ -367,32 +359,6 @@ fn minimize_mix(
         threads,
         report,
     }
-}
-
-/// [`lifecycle_window`] for a mix: the traced rerun restarts the machine
-/// with the per-thread programs.
-fn lifecycle_window_mix(
-    programs: &[Program],
-    frontend: FrontEnd,
-    threads: usize,
-    cycle: u64,
-) -> String {
-    let cfg = config(frontend, threads);
-    let (start, end) = (cycle.saturating_sub(TRACE_SPAN), cycle + TRACE_SPAN);
-    let cap = usize::try_from((end - start + 1) * cfg.block_size as u64).unwrap_or(4096);
-    let mut tracer = Tracer::new(cfg.trace_shape(), cap).with_window(start, end);
-    let refs: Vec<&Program> = programs.iter().collect();
-    let mut sim = match Simulator::try_new_mix(cfg, &refs) {
-        Ok(sim) => sim,
-        Err(e) => return format!("(no lifecycle window: mix rebuild failed: {e})\n"),
-    };
-    let outcome = sim.run_traced(&mut tracer);
-    let mut out = format!("lifecycle window, instructions decoded in cycles {start}..={end}:\n");
-    out.push_str(&tracer.lifecycle.render());
-    if let Err(e) = outcome {
-        out.push_str(&format!("(traced rerun ended early: {e})\n"));
-    }
-    out
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

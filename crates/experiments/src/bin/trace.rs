@@ -23,8 +23,9 @@
 //! checker before anything is written.
 
 use std::io::Write as _;
+use std::str::FromStr;
 
-use smt_core::{FetchPolicy, PredictorKind, SimConfig, Simulator};
+use smt_core::{FetchPolicy, Observers, PredictorKind, SimConfig, Simulator};
 use smt_trace::{export, Tracer};
 use smt_workloads::{workload, Scale, WorkloadKind};
 
@@ -35,40 +36,9 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_workload(name: &str) -> WorkloadKind {
-    WorkloadKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            let names: Vec<&str> = WorkloadKind::ALL.iter().map(|k| k.name()).collect();
-            die(&format!(
-                "unknown workload `{name}` (expected one of {})",
-                names.join(", ")
-            ))
-        })
-}
-
-fn parse_policy(name: &str) -> FetchPolicy {
-    match name.to_ascii_lowercase().as_str() {
-        "trr" | "true-round-robin" => FetchPolicy::TrueRoundRobin,
-        "mrr" | "masked-round-robin" => FetchPolicy::MaskedRoundRobin,
-        "cond" | "conditional-switch" => FetchPolicy::ConditionalSwitch,
-        "ic" | "icount" => FetchPolicy::Icount,
-        other => die(&format!(
-            "unknown fetch policy `{other}` (expected trr, mrr, cond, or icount)"
-        )),
-    }
-}
-
-fn parse_predictor(name: &str) -> PredictorKind {
-    match name.to_ascii_lowercase().as_str() {
-        "shared" | "shared-btb" => PredictorKind::SharedBtb,
-        "gshare" => PredictorKind::Gshare,
-        "partitioned" | "partitioned-btb" => PredictorKind::PartitionedBtb,
-        other => die(&format!(
-            "unknown predictor `{other}` (expected shared, gshare, or partitioned)"
-        )),
-    }
+/// `flag`'s value in any spelling its enum's table accepts, or `default`.
+fn enum_flag<T: FromStr<Err = String>>(args: &[String], flag: &str, default: T) -> T {
+    flag_value(args, flag).map_or(default, |s| s.parse().unwrap_or_else(|e: String| die(&e)))
 }
 
 fn parse_window(spec: &str) -> (u64, u64) {
@@ -98,8 +68,8 @@ const DEFAULT_CAP: usize = 1 << 20;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind = parse_workload(&flag_value(&args, "--workload").unwrap_or_else(|| "matrix".into()));
-    let policy = parse_policy(&flag_value(&args, "--policy").unwrap_or_else(|| "trr".into()));
+    let kind = enum_flag(&args, "--workload", WorkloadKind::Matrix);
+    let policy = enum_flag(&args, "--policy", FetchPolicy::default());
     let threads: usize = flag_value(&args, "--threads").map_or(4, |s| {
         s.parse()
             .unwrap_or_else(|_| die("--threads takes a positive integer"))
@@ -125,8 +95,7 @@ fn main() {
             w.name()
         ))
     });
-    let predictor =
-        flag_value(&args, "--predictor").map_or(PredictorKind::SharedBtb, |s| parse_predictor(&s));
+    let predictor = enum_flag(&args, "--predictor", PredictorKind::default());
     let fetch_threads: usize = flag_value(&args, "--fetch-threads").map_or(1, |s| {
         s.parse()
             .unwrap_or_else(|_| die("--fetch-threads takes a positive integer"))
@@ -153,7 +122,7 @@ fn main() {
 
     let mut sim = Simulator::new(config, &program);
     let stats = sim
-        .run_traced(&mut tracer)
+        .run_with(Observers::trace(&mut tracer))
         .unwrap_or_else(|e| die(&format!("simulation faulted: {e}")));
     w.check(sim.memory().words())
         .unwrap_or_else(|e| die(&format!("architectural result mismatch: {e}")));

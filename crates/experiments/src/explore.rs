@@ -100,22 +100,6 @@ pub struct SearchSpace {
     pub spec_depths: Vec<usize>,
 }
 
-fn policy_abbrev(p: FetchPolicy) -> &'static str {
-    match p {
-        FetchPolicy::TrueRoundRobin => "trr",
-        FetchPolicy::MaskedRoundRobin => "mrr",
-        FetchPolicy::ConditionalSwitch => "cs",
-        FetchPolicy::Icount => "ic",
-    }
-}
-
-fn cache_abbrev(c: CacheKind) -> &'static str {
-    match c {
-        CacheKind::SetAssociative => "sa",
-        CacheKind::DirectMapped => "dm",
-    }
-}
-
 impl SearchSpace {
     /// The full exploration region around the paper machine: every
     /// policy and predictor, one or two fetch ports, 4/8-wide fetch,
@@ -172,11 +156,7 @@ impl SearchSpace {
         vec![
             Axis::new(
                 "policy",
-                &self
-                    .policies
-                    .iter()
-                    .map(|&p| policy_abbrev(p))
-                    .collect::<Vec<_>>(),
+                &self.policies.iter().map(|p| p.abbrev()).collect::<Vec<_>>(),
             ),
             Axis::new(
                 "predictor",
@@ -191,11 +171,7 @@ impl SearchSpace {
             nums("su_depth", &self.su_depths),
             Axis::new(
                 "cache",
-                &self
-                    .caches
-                    .iter()
-                    .map(|&c| cache_abbrev(c))
-                    .collect::<Vec<_>>(),
+                &self.caches.iter().map(|c| c.abbrev()).collect::<Vec<_>>(),
             ),
             nums("spec_depth", &self.spec_depths),
         ]
@@ -453,12 +429,7 @@ impl<'a> Explorer<'a> {
                 return self.persist_warm(&path, wid, rec);
             }
         };
-        let refs: Vec<&Program> = programs.iter().collect();
-        let forked = match refs[..] {
-            [p] => Simulator::fork_warm(spec.config(), p, &snap),
-            _ => Simulator::fork_warm_mix(spec.config(), &refs, &snap),
-        };
-        let mut sim = match forked {
+        let mut sim = match Simulator::fork_warm(spec.config(), &programs[..], &snap) {
             Ok(sim) => sim,
             Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
                 let rec = crate::sweep::infeasible_record(
@@ -553,12 +524,8 @@ impl<'a> Explorer<'a> {
 /// cycles, drain to quiescence, relaxed-identity snapshot.
 fn make_warm(programs: &[Program], threads: usize, warmup: u64) -> Result<Snapshot, String> {
     let config = SimConfig::default().with_threads(threads);
-    let refs: Vec<&Program> = programs.iter().collect();
-    let mut sim = match refs[..] {
-        [p] => Simulator::try_new(config, p),
-        _ => Simulator::try_new_mix(config, &refs),
-    }
-    .map_err(|e| format!("canonical warmup machine rejected: {e}"))?;
+    let mut sim = Simulator::try_new(config, programs)
+        .map_err(|e| format!("canonical warmup machine rejected: {e}"))?;
     for _ in 0..warmup {
         if sim.finished() {
             return Err(format!("kernel retired within the {warmup}-cycle warmup"));
@@ -599,13 +566,13 @@ pub fn frontier_json(frontier: &[(CellSpec, CellRecord)]) -> String {
         out.push_str(&object_to_json(&[
             ("id", Cell::Text(rec.id.clone())),
             ("workload", Cell::Text(spec.work.name())),
-            ("policy", Cell::Text(policy_abbrev(spec.policy).into())),
+            ("policy", Cell::Text(spec.policy.abbrev().into())),
             ("predictor", Cell::Text(spec.predictor.abbrev().into())),
             ("threads", Cell::Int(spec.threads as u64)),
             ("fetch_threads", Cell::Int(spec.fetch_threads as u64)),
             ("fetch_width", Cell::Int(spec.fetch_width as u64)),
             ("su_depth", Cell::Int(spec.su_depth as u64)),
-            ("cache", Cell::Text(cache_abbrev(spec.cache).into())),
+            ("cache", Cell::Text(spec.cache.abbrev().into())),
             ("spec_depth", Cell::Int(spec.spec_depth as u64)),
             ("ipc", Cell::Float(rec.ipc)),
             ("cost", Cell::Float(hardware_cost(spec))),

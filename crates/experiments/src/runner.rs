@@ -26,7 +26,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use smt_core::{CommitPolicy, FetchPolicy, SimConfig, SimStats, Simulator};
+use smt_core::{CommitPolicy, FetchPolicy, Observers, SimConfig, SimStats, Simulator};
 use smt_isa::{FuClass, Program};
 use smt_mem::CacheKind;
 use smt_trace::{CpiBreakdown, CpiStack, SlotCause};
@@ -177,7 +177,7 @@ fn execute(
 ) -> RunOutcome {
     let w = workload(kind, scale);
     let program = programs.get(scale, kind, config.threads);
-    let mut sim = Simulator::new(config.clone(), &program);
+    let mut sim = Simulator::new(config.clone(), &*program);
     let stats = sim
         .run()
         .unwrap_or_else(|e| panic!("{} under {config:?}: {e}", w.name()));
@@ -204,10 +204,10 @@ fn execute_cpi(
 ) -> CpiBreakdown {
     let w = workload(kind, scale);
     let program = programs.get(scale, kind, config.threads);
-    let mut sim = Simulator::new(config.clone(), &program);
+    let mut sim = Simulator::new(config.clone(), &*program);
     let mut cpi = CpiStack::new(config.block_size as u32);
     let stats = sim
-        .run_traced(&mut cpi)
+        .run_with(Observers::trace(&mut cpi))
         .unwrap_or_else(|e| panic!("{} under {config:?}: {e}", w.name()));
     w.check(sim.memory().words())
         .unwrap_or_else(|e| panic!("{} under {config:?}: wrong answer: {e}", w.name()));

@@ -41,8 +41,8 @@ use std::{fmt, fs};
 use smt_checkpoint::{Reader, Writer};
 use smt_core::config::defaults;
 use smt_core::{
-    config_identity, program_identity, FetchPolicy, PredictorKind, SimConfig, SimError, Simulator,
-    Snapshot,
+    config_identity, program_identity, FetchPolicy, Observers, PredictorKind, SimConfig, SimError,
+    Simulator, Snapshot,
 };
 use smt_corpus::Corpus;
 use smt_isa::Program;
@@ -77,7 +77,10 @@ impl WorkRef {
     /// The lowercase spelling used inside cell ids.
     #[must_use]
     pub fn id_part(&self) -> String {
-        self.name().to_lowercase()
+        match self {
+            WorkRef::Builtin(k) => k.abbrev().to_string(),
+            WorkRef::Corpus(n) => n.to_lowercase(),
+        }
     }
 
     /// Parses one name: built-in benchmarks match case-insensitively,
@@ -88,11 +91,8 @@ impl WorkRef {
     ///
     /// An explanation when `s` is neither.
     pub fn parse(s: &str) -> Result<WorkRef, String> {
-        if let Some(kind) = WorkloadKind::ALL
-            .iter()
-            .find(|k| k.name().eq_ignore_ascii_case(s))
-        {
-            return Ok(WorkRef::Builtin(*kind));
+        if let Ok(kind) = s.parse::<WorkloadKind>() {
+            return Ok(WorkRef::Builtin(kind));
         }
         if smt_corpus::manifest::valid_name(s) {
             return Ok(WorkRef::Corpus(s.to_string()));
@@ -431,21 +431,13 @@ impl CellSpec {
     /// those axes existed — and every cell cached under one — is unchanged.
     #[must_use]
     pub fn id(&self) -> String {
-        let policy = match self.policy {
-            FetchPolicy::TrueRoundRobin => "trr",
-            FetchPolicy::MaskedRoundRobin => "mrr",
-            FetchPolicy::ConditionalSwitch => "cs",
-            FetchPolicy::Icount => "ic",
-        };
-        let cache = match self.cache {
-            CacheKind::SetAssociative => "sa",
-            CacheKind::DirectMapped => "dm",
-        };
         let mut id = format!(
-            "{}-{policy}-t{}-su{}-{cache}",
+            "{}-{}-t{}-su{}-{}",
             self.work.id_part(),
+            self.policy.abbrev(),
             self.threads,
             self.su_depth,
+            self.cache.abbrev(),
         );
         if self.predictor != PredictorKind::SharedBtb {
             id.push('-');
@@ -1108,7 +1100,7 @@ impl Scheduler {
                 cell.sim.config().max_cycles
             );
             match cell.cpi.as_mut() {
-                Some(stack) => cell.sim.step_traced(stack),
+                Some(stack) => cell.sim.step_with(Observers::trace(stack)),
                 None => cell.sim.step(),
             }
             .unwrap_or_else(|e| panic!("{id}: simulation failed: {e}"));
@@ -1266,16 +1258,11 @@ impl Scheduler {
                 }
                 Ok(ps) => ps,
             };
-            // Uniform cells replicate one program across the partition
-            // (the pre-mix construction paths, so their snapshots and
-            // identity hashes are unchanged); a mix places one
-            // single-threaded program per thread.
-            let mix: Vec<&Program> = programs.iter().collect();
+            // Uniform cells replicate one program across the partition; a
+            // mix places one single-threaded program per thread.
             let id = spec.id();
-            let restored = load_ckpt(out, &id, &opts.code_version).and_then(|snap| match mix[..] {
-                [p] => Simulator::restore(config.clone(), p, &snap).ok(),
-                _ => Simulator::restore_mix(config.clone(), &mix, &snap).ok(),
-            });
+            let restored = load_ckpt(out, &id, &opts.code_version)
+                .and_then(|snap| Simulator::restore(config.clone(), &programs[..], &snap).ok());
             match restored {
                 Some(sim) => running.push(Running {
                     spec: spec.clone(),
@@ -1287,11 +1274,7 @@ impl Scheduler {
                     cpi: None,
                 }),
                 None => {
-                    let fresh = match mix[..] {
-                        [p] => Simulator::try_new(config.clone(), p),
-                        _ => Simulator::try_new_mix(config.clone(), &mix),
-                    };
-                    match fresh {
+                    match Simulator::try_new(config.clone(), &programs[..]) {
                         Ok(sim) => running.push(Running {
                             spec: spec.clone(),
                             id,
@@ -1466,6 +1449,25 @@ mod tests {
             ..spec()
         };
         assert_eq!(other.id(), "ll12-cs-t8-su16-dm");
+        // Every policy, predictor, and cache spelling, pinned: ids are the
+        // store's address space. (The shared BTB is the default predictor,
+        // which ids never spell.)
+        let masked = CellSpec {
+            policy: FetchPolicy::MaskedRoundRobin,
+            predictor: PredictorKind::Gshare,
+            fetch_threads: 2,
+            fetch_width: 8,
+            ..spec()
+        };
+        assert_eq!(masked.id(), "sieve-mrr-t4-su32-sa-gsh-ft2-fw8");
+        let counted = CellSpec {
+            policy: FetchPolicy::Icount,
+            predictor: PredictorKind::PartitionedBtb,
+            cache: CacheKind::DirectMapped,
+            work: WorkloadKind::Matrix.into(),
+            ..spec()
+        };
+        assert_eq!(counted.id(), "matrix-ic-t4-su32-dm-pbtb");
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! grown to its high-water mark during the first few hundred cycles) and
 //! reused thereafter. A counting global allocator proves it — this lives
 //! in its own integration-test binary because `#[global_allocator]` is
-//! process-wide.
+//! process-wide. The tests run on parallel threads, so the allocator
+//! counts only on a thread that has armed it: one test's setup never
+//! lands inside another's measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use smt_core::{SimConfig, Simulator};
 use smt_workloads::{workload, Scale, WorkloadKind};
@@ -15,11 +17,23 @@ use smt_workloads::{workload, Scale, WorkloadKind};
 /// — a free implies a matching earlier allocation.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread's allocations are being counted, and how many
+    /// were. Const-initialized without destructors, so touching them
+    /// from inside the allocator never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,12 +58,14 @@ fn steady_state_allocs(kind: WorkloadKind, warmup: u64, cycles: u64) -> u64 {
         assert!(!sim.finished(), "workload too short to reach steady state");
         sim.step().expect("steps");
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
+    ARMED.with(|a| a.set(true));
     for _ in 0..cycles {
         assert!(!sim.finished(), "workload too short to hold steady state");
         sim.step().expect("steps");
     }
-    let n = ALLOCS.load(Ordering::Relaxed) - before;
+    ARMED.with(|a| a.set(false));
+    let n = ALLOCS.with(Cell::get) - before;
     println!("{kind:?}: {n} allocation events across {cycles} steady-state cycles");
     n
 }

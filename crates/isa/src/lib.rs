@@ -53,6 +53,7 @@ pub mod predecode;
 pub mod program;
 pub mod reg;
 pub mod semantics;
+pub mod spelling;
 
 pub use insn::Instruction;
 pub use op::{FuClass, Opcode};

@@ -15,6 +15,9 @@
 //! assumed (Table 2), so no I-cache model exists.
 
 use std::fmt;
+use std::str::FromStr;
+
+use smt_isa::spelling::{Spelling, Spellings};
 
 /// Cache organization: the two alternatives the paper compares.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -26,12 +29,45 @@ pub enum CacheKind {
     DirectMapped,
 }
 
+impl CacheKind {
+    /// Every spelling of every organization: cell-id abbreviation,
+    /// display text, and the command-line aliases.
+    pub const SPELLINGS: Spellings<CacheKind> = Spellings {
+        what: "cache kind",
+        rows: &[
+            Spelling {
+                value: CacheKind::SetAssociative,
+                id: "sa",
+                display: "4-way set associative",
+                aliases: &["assoc"],
+            },
+            Spelling {
+                value: CacheKind::DirectMapped,
+                id: "dm",
+                display: "direct-mapped",
+                aliases: &["direct"],
+            },
+        ],
+    };
+
+    /// Short stable identifier for cell ids and the serve wire.
+    #[must_use]
+    pub fn abbrev(self) -> &'static str {
+        Self::SPELLINGS.id(self)
+    }
+}
+
 impl fmt::Display for CacheKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CacheKind::SetAssociative => f.write_str("4-way set associative"),
-            CacheKind::DirectMapped => f.write_str("direct-mapped"),
-        }
+        f.write_str(Self::SPELLINGS.display(*self))
+    }
+}
+
+impl FromStr for CacheKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::SPELLINGS.parse(s)
     }
 }
 
@@ -397,6 +433,24 @@ impl DataCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_kind_spellings_round_trip() {
+        for k in [CacheKind::SetAssociative, CacheKind::DirectMapped] {
+            assert_eq!(k.abbrev().parse::<CacheKind>(), Ok(k));
+            assert_eq!(k.to_string().parse::<CacheKind>(), Ok(k));
+            assert_eq!(CacheKind::SPELLINGS.from_id(k.abbrev()), Some(k));
+        }
+        // `smt-sim --cache` spellings accepted before the table existed.
+        for (alias, k) in [
+            ("assoc", CacheKind::SetAssociative),
+            ("direct", CacheKind::DirectMapped),
+        ] {
+            assert_eq!(alias.parse::<CacheKind>(), Ok(k), "{alias}");
+            assert_eq!(CacheKind::SPELLINGS.from_id(alias), None, "{alias}");
+        }
+        assert!("fa".parse::<CacheKind>().is_err());
+    }
 
     fn small(ways: usize) -> DataCache {
         // 4 sets × `ways` lines of 32 B.

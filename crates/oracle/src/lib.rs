@@ -38,7 +38,10 @@
 
 use std::fmt;
 
-use smt_core::{CommitSink, Retirement, SimConfig, SimError, SimStats, Simulator, Snapshot};
+use smt_core::{
+    CommitSink, Observers, Retirement, SimConfig, SimError, SimStats, Simulator, Snapshot,
+    ThreadPrograms,
+};
 use smt_isa::interp::{Interp, InterpError, Progress};
 use smt_isa::semantics::effective_addr;
 use smt_isa::{Opcode, Program, Reg, WORD_BYTES};
@@ -171,8 +174,8 @@ pub struct Report {
     pub fault: Option<(usize, usize)>,
 }
 
-/// The lockstep oracle. Attach to a run with
-/// [`Simulator::run_observed`], or use [`verify`] for the whole
+/// The lockstep oracle. Attach to a run as the commit sink of
+/// [`Simulator::run_with`], or use [`verify`] for the whole
 /// run-and-diff workflow.
 #[derive(Debug)]
 pub struct Oracle<'p> {
@@ -208,12 +211,6 @@ impl<'p> Oracle<'p> {
     #[must_use]
     pub fn divergence(&self) -> Option<&Divergence> {
         self.divergence.as_deref()
-    }
-
-    /// Consumes the oracle, yielding the first divergence.
-    #[must_use]
-    pub fn into_divergence(self) -> Option<Box<Divergence>> {
-        self.divergence
     }
 
     /// The reference interpreter (for end-of-run state comparison).
@@ -432,8 +429,13 @@ fn context_disasm(program: &Program, pc: usize) -> String {
     out
 }
 
-/// Runs `program` under `config` with the oracle attached and returns the
-/// run summary, or the first divergence.
+/// Runs `programs` under `config` with the oracle attached and returns
+/// the run summary, or the first divergence. `programs` is one program
+/// every thread shares or a mix of one per thread (see
+/// [`ThreadPrograms`]); a mix runs under a [`MixOracle`], which checks
+/// each thread's commit stream, final register window, memory segment,
+/// and retirement count against a solo 1-thread reference run of its own
+/// program.
 ///
 /// A memory fault is *not* a divergence when the reference faults
 /// identically (same kind, address, thread, and pc) — the report then
@@ -444,14 +446,11 @@ fn context_disasm(program: &Program, pc: usize) -> String {
 ///
 /// The first [`Divergence`], including harness-level failures (watchdog
 /// timeout, invalid configuration) as [`DivergenceKind::Harness`].
-pub fn verify(program: &Program, config: SimConfig) -> Result<Report, Box<Divergence>> {
-    let threads = config.threads;
-    let fault_bound = config.su_depth;
-    let mut sim =
-        Simulator::try_new(config, program).map_err(|e| harness_divergence(e.to_string()))?;
-    let mut oracle = Oracle::new(program, threads, fault_bound);
-    let outcome = sim.run_observed(&mut oracle);
-    conclude(&sim, oracle, outcome)
+pub fn verify<'p>(
+    programs: impl Into<ThreadPrograms<'p>>,
+    config: SimConfig,
+) -> Result<Report, Box<Divergence>> {
+    verify_spliced(programs.into(), config, None)
 }
 
 /// Like [`verify`], but additionally exercises checkpoint/restore: every
@@ -471,49 +470,76 @@ pub fn verify(program: &Program, config: SimConfig) -> Result<Report, Box<Diverg
 /// # Panics
 ///
 /// Panics if `every` is zero.
-pub fn verify_with_checkpoints(
-    program: &Program,
+pub fn verify_with_checkpoints<'p>(
+    programs: impl Into<ThreadPrograms<'p>>,
     config: SimConfig,
     every: u64,
 ) -> Result<Report, Box<Divergence>> {
     assert!(every > 0, "checkpoint interval must be positive");
-    let threads = config.threads;
+    verify_spliced(programs.into(), config, Some(every))
+}
+
+/// The body of [`verify`] and [`verify_with_checkpoints`]: picks the
+/// oracle the machine's form needs, runs, and diffs the final state.
+fn verify_spliced(
+    programs: ThreadPrograms<'_>,
+    config: SimConfig,
+    every: Option<u64>,
+) -> Result<Report, Box<Divergence>> {
     let fault_bound = config.su_depth;
-    let mut sim = Simulator::try_new(config.clone(), program)
+    let mut sim = Simulator::try_new(config, programs.clone())
         .map_err(|e| harness_divergence(e.to_string()))?;
-    let mut oracle = Oracle::new(program, threads, fault_bound);
-    let outcome = loop {
-        let mut step_error = None;
+    let threads = sim.config().threads;
+    if sim.is_multiprogram() {
+        let mix: Vec<&Program> = (0..threads).map(|t| sim.program_of(t)).collect();
+        let bases: Vec<u64> = (0..threads).map(|t| sim.thread_segment(t).0).collect();
+        let mut oracle = MixOracle::new(&mix, &bases, fault_bound);
+        let outcome = run_spliced(&mut sim, &programs, &mut oracle, every)?;
+        conclude_mix(&sim, oracle, outcome)
+    } else {
+        let mut oracle = Oracle::new(sim.program_of(0), threads, fault_bound);
+        let outcome = run_spliced(&mut sim, &programs, &mut oracle, every)?;
+        conclude(&sim, oracle, outcome)
+    }
+}
+
+/// Runs `sim` to completion under `sink`, replacing the machine by its
+/// own serialized, decoded, and restored copy every `every` cycles when
+/// an interval is given.
+fn run_spliced<'p>(
+    sim: &mut Simulator<'p>,
+    programs: &ThreadPrograms<'p>,
+    sink: &mut dyn CommitSink,
+    every: Option<u64>,
+) -> Result<Result<SimStats, SimError>, Box<Divergence>> {
+    let Some(every) = every else {
+        return Ok(sim.run_with(Observers::commits(sink)));
+    };
+    loop {
         for _ in 0..every {
             if sim.finished() {
                 break;
             }
             if sim.cycle() >= sim.config().max_cycles {
-                step_error = Some(SimError::Watchdog {
+                return Ok(Err(SimError::Watchdog {
                     cycles: sim.config().max_cycles,
-                });
-                break;
+                }));
             }
-            if let Err(e) = sim.step_observed(&mut oracle) {
-                step_error = Some(e);
-                break;
+            if let Err(e) = sim.step_with(Observers::commits(sink)) {
+                return Ok(Err(e));
             }
-        }
-        if let Some(e) = step_error {
-            break Err(e);
         }
         if sim.finished() {
             // No cycles left to run: this only finalizes the statistics,
-            // exactly as an uninterrupted `run_observed` would.
-            break sim.run_observed(&mut oracle);
+            // exactly as an uninterrupted run would.
+            return Ok(sim.run_with(Observers::commits(sink)));
         }
         let bytes = sim.checkpoint().to_bytes();
         let snap = Snapshot::from_bytes(&bytes)
             .map_err(|e| harness_divergence(format!("snapshot decode: {e}")))?;
-        sim = Simulator::restore(config.clone(), program, &snap)
+        *sim = Simulator::restore(sim.config().clone(), programs.clone(), &snap)
             .map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
-    };
-    conclude(&sim, oracle, outcome)
+    }
 }
 
 /// Lockstep oracle for a heterogeneous program mix: one reference
@@ -567,12 +593,6 @@ impl<'p> MixOracle<'p> {
         self.divergence.as_deref()
     }
 
-    /// Consumes the oracle, yielding the first divergence.
-    #[must_use]
-    pub fn into_divergence(self) -> Option<Box<Divergence>> {
-        self.divergence
-    }
-
     /// Thread `tid`'s reference interpreter.
     #[must_use]
     pub fn interp(&self, tid: usize) -> &Interp<'p> {
@@ -624,84 +644,6 @@ impl CommitSink for MixOracle<'_> {
         }
         self.seqno += 1;
     }
-}
-
-/// Runs a heterogeneous mix (`programs[tid]` on thread `tid`) under
-/// `config` with a [`MixOracle`] attached — the mix counterpart of
-/// [`verify`]. Each thread's commit stream, final register window,
-/// memory segment, and retirement count are checked against a solo
-/// 1-thread reference run of its own program.
-///
-/// # Errors
-///
-/// The first [`Divergence`], as for [`verify`].
-pub fn verify_mix(programs: &[&Program], config: SimConfig) -> Result<Report, Box<Divergence>> {
-    let fault_bound = config.su_depth;
-    let mut sim =
-        Simulator::try_new_mix(config, programs).map_err(|e| harness_divergence(e.to_string()))?;
-    let bases: Vec<u64> = (0..programs.len())
-        .map(|t| sim.thread_segment(t).0)
-        .collect();
-    let mut oracle = MixOracle::new(programs, &bases, fault_bound);
-    let outcome = sim.run_observed(&mut oracle);
-    conclude_mix(&sim, oracle, outcome)
-}
-
-/// Like [`verify_mix`], but splices a serialize/decode/restore cycle
-/// into the run every `every` cycles (see [`verify_with_checkpoints`]):
-/// a clean report certifies mix snapshots are transparent.
-///
-/// # Errors
-///
-/// The first [`Divergence`]; snapshot failures surface as
-/// [`DivergenceKind::Harness`].
-///
-/// # Panics
-///
-/// Panics if `every` is zero.
-pub fn verify_mix_with_checkpoints(
-    programs: &[&Program],
-    config: SimConfig,
-    every: u64,
-) -> Result<Report, Box<Divergence>> {
-    assert!(every > 0, "checkpoint interval must be positive");
-    let fault_bound = config.su_depth;
-    let mut sim = Simulator::try_new_mix(config.clone(), programs)
-        .map_err(|e| harness_divergence(e.to_string()))?;
-    let bases: Vec<u64> = (0..programs.len())
-        .map(|t| sim.thread_segment(t).0)
-        .collect();
-    let mut oracle = MixOracle::new(programs, &bases, fault_bound);
-    let outcome = loop {
-        let mut step_error = None;
-        for _ in 0..every {
-            if sim.finished() {
-                break;
-            }
-            if sim.cycle() >= sim.config().max_cycles {
-                step_error = Some(SimError::Watchdog {
-                    cycles: sim.config().max_cycles,
-                });
-                break;
-            }
-            if let Err(e) = sim.step_observed(&mut oracle) {
-                step_error = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = step_error {
-            break Err(e);
-        }
-        if sim.finished() {
-            break sim.run_observed(&mut oracle);
-        }
-        let bytes = sim.checkpoint().to_bytes();
-        let snap = Snapshot::from_bytes(&bytes)
-            .map_err(|e| harness_divergence(format!("snapshot decode: {e}")))?;
-        sim = Simulator::restore_mix(config.clone(), programs, &snap)
-            .map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
-    };
-    conclude_mix(&sim, oracle, outcome)
 }
 
 /// Mix counterpart of [`conclude`]: the final-state diff runs per
@@ -794,7 +736,7 @@ fn harness_divergence(msg: String) -> Box<Divergence> {
     })
 }
 
-/// Shared epilogue of [`verify`] and [`verify_with_checkpoints`]: folds
+/// Epilogue of [`verify`] and [`verify_with_checkpoints`]: folds
 /// the run outcome, any recorded divergence, and the final-state diff
 /// into a [`Report`].
 fn conclude(
@@ -1018,14 +960,13 @@ mod tests {
             let config = SimConfig::default()
                 .with_threads(2)
                 .with_fetch_policy(policy);
-            let report =
-                verify_mix(&[&a, &b], config).unwrap_or_else(|d| panic!("{policy} mix: {d}"));
+            let report = verify(&[&a, &b], config).unwrap_or_else(|d| panic!("{policy} mix: {d}"));
             assert!(report.fault.is_none());
             assert!(report.instructions > 0);
         }
         // Four threads, two of each program, interleaved.
         let config = SimConfig::default().with_threads(4);
-        verify_mix(&[&a, &b, &a, &b], config).unwrap_or_else(|d| panic!("4-thread mix: {d}"));
+        verify(&[&a, &b, &a, &b], config).unwrap_or_else(|d| panic!("4-thread mix: {d}"));
     }
 
     #[test]
@@ -1033,8 +974,8 @@ mod tests {
         let a = sum_program();
         let b = blur_like_program();
         let config = SimConfig::default().with_threads(2);
-        let plain = verify_mix(&[&a, &b], config.clone()).unwrap_or_else(|d| panic!("{d}"));
-        let spliced = verify_mix_with_checkpoints(&[&a, &b], config, 13)
+        let plain = verify(&[&a, &b], config.clone()).unwrap_or_else(|d| panic!("{d}"));
+        let spliced = verify_with_checkpoints(&[&a, &b], config, 13)
             .unwrap_or_else(|d| panic!("checkpointed mix: {d}"));
         assert_eq!(spliced, plain, "mix splices must be transparent");
     }
@@ -1051,7 +992,7 @@ mod tests {
         b.sd(r, r, 0);
         b.halt();
         let faulty = b.build(1).unwrap();
-        let report = verify_mix(&[&healthy, &faulty], SimConfig::default().with_threads(2))
+        let report = verify(&[&healthy, &faulty], SimConfig::default().with_threads(2))
             .expect("fault agrees with thread 1's reference");
         let (tid, pc) = report.fault.expect("run ends in a fault");
         assert_eq!(tid, 1);
@@ -1065,7 +1006,7 @@ mod tests {
         let a = sum_program();
         let b = blur_like_program();
         let config = SimConfig::default().with_threads(2);
-        let mut sim = Simulator::try_new_mix(config.clone(), &[&a, &b]).unwrap();
+        let mut sim = Simulator::try_new(config.clone(), &[&a, &b]).unwrap();
         struct Capture(Vec<Retirement>);
         impl CommitSink for Capture {
             fn retired(&mut self, r: &Retirement) {
@@ -1073,7 +1014,7 @@ mod tests {
             }
         }
         let mut cap = Capture(Vec::new());
-        sim.run_observed(&mut cap).unwrap();
+        sim.run_with(Observers::commits(&mut cap)).unwrap();
         let bases = [sim.thread_segment(0).0, sim.thread_segment(1).0];
         let mut o = MixOracle::new(&[&a, &b], &bases, 8);
         let mut corrupted = false;
@@ -1178,7 +1119,7 @@ mod tests {
             }
         }
         let mut cap = Capture(Vec::new());
-        sim.run_observed(&mut cap).unwrap();
+        sim.run_with(Observers::commits(&mut cap)).unwrap();
         let mut o = Oracle::new(&p, 1, 8);
         for r in &cap.0 {
             let mut r = *r;

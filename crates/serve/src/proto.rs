@@ -47,14 +47,13 @@
 //! suite).
 
 use smt_core::config::defaults;
-use smt_core::FetchPolicy;
+use smt_core::{FetchPolicy, Spellings};
 use smt_experiments::explore::{hardware_cost, EvalMode, SearchReport, SearchSpace};
 use smt_experiments::json::Value;
 use smt_experiments::sweep::{CellRecord, CellSpec, CellStatus, Grid, WorkSpec};
 use smt_mem::CacheKind;
 use smt_trace::{CpiBreakdown, SlotCause};
 use smt_uarch::PredictorKind;
-use smt_workloads::WorkloadKind;
 
 /// Most cells one `submit` may carry (the 990-cell paper grid fits with
 /// headroom; a hostile 10⁶-cell submission does not).
@@ -214,62 +213,6 @@ pub fn grid_by_name(name: &str) -> Result<Grid, String> {
     }
 }
 
-/// Parses a workload by its case-insensitive display name.
-#[must_use]
-pub fn parse_workload(s: &str) -> Option<WorkloadKind> {
-    WorkloadKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(s))
-}
-
-/// Parses a fetch policy by its cell-id abbreviation.
-#[must_use]
-pub fn parse_policy(s: &str) -> Option<FetchPolicy> {
-    match s {
-        "trr" => Some(FetchPolicy::TrueRoundRobin),
-        "mrr" => Some(FetchPolicy::MaskedRoundRobin),
-        "cs" => Some(FetchPolicy::ConditionalSwitch),
-        "ic" => Some(FetchPolicy::Icount),
-        _ => None,
-    }
-}
-
-/// The cell-id abbreviation of a fetch policy.
-#[must_use]
-pub fn policy_abbrev(p: FetchPolicy) -> &'static str {
-    match p {
-        FetchPolicy::TrueRoundRobin => "trr",
-        FetchPolicy::MaskedRoundRobin => "mrr",
-        FetchPolicy::ConditionalSwitch => "cs",
-        FetchPolicy::Icount => "ic",
-    }
-}
-
-/// Parses a predictor family by its abbreviation.
-#[must_use]
-pub fn parse_predictor(s: &str) -> Option<PredictorKind> {
-    PredictorKind::ALL.into_iter().find(|k| k.abbrev() == s)
-}
-
-/// Parses a cache organization by its abbreviation.
-#[must_use]
-pub fn parse_cache(s: &str) -> Option<CacheKind> {
-    match s {
-        "sa" => Some(CacheKind::SetAssociative),
-        "dm" => Some(CacheKind::DirectMapped),
-        _ => None,
-    }
-}
-
-/// The cell-id abbreviation of a cache organization.
-#[must_use]
-pub fn cache_abbrev(c: CacheKind) -> &'static str {
-    match c {
-        CacheKind::SetAssociative => "sa",
-        CacheKind::DirectMapped => "dm",
-    }
-}
-
 /// Bounds on the numeric dimensions. Far wider than any feasible machine
 /// (`SimConfig::validate` is the real arbiter); these only stop a crafted
 /// request from allocating absurd structures before validation runs.
@@ -317,6 +260,21 @@ fn dim_str<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, String> {
     }
 }
 
+/// An enum dimension spelled strictly by its id in `table`.
+fn dim_id<T: Copy + PartialEq>(
+    v: &Value,
+    key: &str,
+    table: &Spellings<T>,
+    default: T,
+) -> Result<T, String> {
+    match dim_str(v, key)? {
+        None => Ok(default),
+        Some(s) => table
+            .from_id(s)
+            .ok_or_else(|| format!("unknown {key} {s:?} ({})", table.ids())),
+    }
+}
+
 /// Parses one cell spec, applying paper-machine defaults for absent
 /// dimensions.
 ///
@@ -330,18 +288,14 @@ pub fn spec_from_value(v: &Value) -> Result<CellSpec, String> {
     };
     let workload = dim_str(v, "workload")?.ok_or("cell spec needs a \"workload\"")?;
     let work = WorkSpec::parse(workload)?;
-    let policy = match dim_str(v, "policy")? {
-        None => FetchPolicy::TrueRoundRobin,
-        Some(s) => parse_policy(s).ok_or(format!("unknown policy {s:?} (trr|mrr|cs|ic)"))?,
-    };
-    let predictor = match dim_str(v, "predictor")? {
-        None => PredictorKind::SharedBtb,
-        Some(s) => parse_predictor(s).ok_or(format!("unknown predictor {s:?} (btb|gsh|pbtb)"))?,
-    };
-    let cache = match dim_str(v, "cache")? {
-        None => CacheKind::SetAssociative,
-        Some(s) => parse_cache(s).ok_or(format!("unknown cache {s:?} (sa|dm)"))?,
-    };
+    let policy = dim_id(v, "policy", &FetchPolicy::SPELLINGS, FetchPolicy::default())?;
+    let predictor = dim_id(
+        v,
+        "predictor",
+        &PredictorKind::SPELLINGS,
+        PredictorKind::default(),
+    )?;
+    let cache = dim_id(v, "cache", &CacheKind::SPELLINGS, CacheKind::default())?;
     Ok(CellSpec {
         work,
         policy,
@@ -360,13 +314,13 @@ pub fn spec_from_value(v: &Value) -> Result<CellSpec, String> {
 pub fn spec_to_value(spec: &CellSpec) -> Value {
     Value::Object(vec![
         ("workload".into(), spec.work.name().into()),
-        ("policy".into(), policy_abbrev(spec.policy).into()),
+        ("policy".into(), spec.policy.abbrev().into()),
         ("predictor".into(), spec.predictor.abbrev().into()),
         ("threads".into(), (spec.threads as u64).into()),
         ("fetch_threads".into(), (spec.fetch_threads as u64).into()),
         ("fetch_width".into(), (spec.fetch_width as u64).into()),
         ("su_depth".into(), (spec.su_depth as u64).into()),
-        ("cache".into(), cache_abbrev(spec.cache).into()),
+        ("cache".into(), spec.cache.abbrev().into()),
         ("spec_depth".into(), (spec.spec_depth as u64).into()),
     ])
 }
@@ -534,6 +488,7 @@ pub fn error_response(reason: &str) -> Value {
 mod tests {
     use super::*;
     use smt_experiments::json::parse_value;
+    use smt_workloads::WorkloadKind;
 
     fn sieve4() -> CellSpec {
         CellSpec {
@@ -597,6 +552,16 @@ mod tests {
             (r#"{"workload":"sieve","threads":5000}"#, "outside"),
             (r#"{"workload":"sieve","threads":-1}"#, "non-negative"),
             (r#"{"workload":"sieve","policy":"zz"}"#, "unknown policy"),
+            // Command-line aliases stay off the wire: ids only.
+            (
+                r#"{"workload":"sieve","policy":"icount"}"#,
+                "unknown policy",
+            ),
+            (
+                r#"{"workload":"sieve","predictor":"gshare"}"#,
+                "unknown predictor",
+            ),
+            (r#"{"workload":"sieve","cache":"direct"}"#, "unknown cache"),
             (r#"{"workload":"sieve","su_depth":1.5}"#, "non-negative"),
             (r#"[]"#, "object"),
         ] {

@@ -97,13 +97,6 @@ impl FuConfig {
         self
     }
 
-    /// Returns a copy with `class`'s latency replaced (for ablations).
-    #[must_use]
-    pub fn with_latency(mut self, class: FuClass, latency: u64) -> Self {
-        self.classes[class_index(class)].latency = latency;
-        self
-    }
-
     /// Total number of units across all classes.
     #[must_use]
     pub fn total_units(&self) -> usize {

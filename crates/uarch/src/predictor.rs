@@ -28,6 +28,8 @@
 //! [`Predictor`] enum — enum dispatch, not `dyn Trait`, so the
 //! default-config hot path stays monomorphic and branch-predictable.
 
+use smt_isa::spelling::{Spelling, Spellings};
+
 /// Outcome of a prediction lookup.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Prediction {
@@ -264,24 +266,50 @@ impl PredictorKind {
         PredictorKind::PartitionedBtb,
     ];
 
+    /// Every spelling of every family: cell-id abbreviation, display
+    /// text, and the command-line aliases.
+    pub const SPELLINGS: Spellings<PredictorKind> = Spellings {
+        what: "predictor",
+        rows: &[
+            Spelling {
+                value: PredictorKind::SharedBtb,
+                id: "btb",
+                display: "Shared BTB",
+                aliases: &["shared", "shared-btb"],
+            },
+            Spelling {
+                value: PredictorKind::Gshare,
+                id: "gsh",
+                display: "Gshare",
+                aliases: &["gshare"],
+            },
+            Spelling {
+                value: PredictorKind::PartitionedBtb,
+                id: "pbtb",
+                display: "Partitioned BTB",
+                aliases: &["partitioned", "partitioned-btb"],
+            },
+        ],
+    };
+
     /// Short stable identifier for cell ids and exports.
     #[must_use]
     pub fn abbrev(self) -> &'static str {
-        match self {
-            PredictorKind::SharedBtb => "btb",
-            PredictorKind::Gshare => "gsh",
-            PredictorKind::PartitionedBtb => "pbtb",
-        }
+        Self::SPELLINGS.id(self)
     }
 }
 
 impl std::fmt::Display for PredictorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PredictorKind::SharedBtb => "Shared BTB",
-            PredictorKind::Gshare => "Gshare",
-            PredictorKind::PartitionedBtb => "Partitioned BTB",
-        })
+        f.write_str(Self::SPELLINGS.display(*self))
+    }
+}
+
+impl std::str::FromStr for PredictorKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::SPELLINGS.parse(s)
     }
 }
 
@@ -694,6 +722,29 @@ impl Predictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn predictor_spellings_round_trip() {
+        for k in PredictorKind::ALL {
+            assert_eq!(k.abbrev().parse::<PredictorKind>(), Ok(k));
+            assert_eq!(k.to_string().parse::<PredictorKind>(), Ok(k));
+            assert_eq!(PredictorKind::SPELLINGS.from_id(k.abbrev()), Some(k));
+        }
+        // `smt-sim --predictor` and `trace --predictor` spellings accepted
+        // before the table existed.
+        for (alias, k) in [
+            ("shared", PredictorKind::SharedBtb),
+            ("shared-btb", PredictorKind::SharedBtb),
+            ("gshare", PredictorKind::Gshare),
+            ("GShare", PredictorKind::Gshare),
+            ("partitioned", PredictorKind::PartitionedBtb),
+            ("partitioned-btb", PredictorKind::PartitionedBtb),
+        ] {
+            assert_eq!(alias.parse::<PredictorKind>(), Ok(k), "{alias}");
+            assert_eq!(PredictorKind::SPELLINGS.from_id(alias), None, "{alias}");
+        }
+        assert!("tage".parse::<PredictorKind>().is_err());
+    }
 
     #[test]
     fn cold_lookup_predicts_not_taken() {

@@ -37,8 +37,10 @@ pub mod sieve;
 pub mod water;
 
 use std::fmt;
+use std::str::FromStr;
 
 use smt_isa::builder::{BuildError, ProgramBuilder};
+use smt_isa::spelling::{Spelling, Spellings};
 use smt_isa::Program;
 
 pub use common::{CheckError, MemView};
@@ -105,22 +107,90 @@ impl WorkloadKind {
         WorkloadKind::Water,
     ];
 
+    /// Every spelling of every benchmark: the lower-case id of cell ids,
+    /// and the display name of the paper's figures.
+    pub const SPELLINGS: Spellings<WorkloadKind> = Spellings {
+        what: "workload",
+        rows: &[
+            Spelling {
+                value: WorkloadKind::Ll1,
+                id: "ll1",
+                display: "LL1",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Ll2,
+                id: "ll2",
+                display: "LL2",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Ll3,
+                id: "ll3",
+                display: "LL3",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Ll5,
+                id: "ll5",
+                display: "LL5",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Ll7,
+                id: "ll7",
+                display: "LL7",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Ll12,
+                id: "ll12",
+                display: "LL12",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Laplace,
+                id: "laplace",
+                display: "Laplace",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Mpd,
+                id: "mpd",
+                display: "MPD",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Matrix,
+                id: "matrix",
+                display: "Matrix",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Sieve,
+                id: "sieve",
+                display: "Sieve",
+                aliases: &[],
+            },
+            Spelling {
+                value: WorkloadKind::Water,
+                id: "water",
+                display: "Water",
+                aliases: &[],
+            },
+        ],
+    };
+
     /// Display name, matching the paper's figures.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            WorkloadKind::Ll1 => "LL1",
-            WorkloadKind::Ll2 => "LL2",
-            WorkloadKind::Ll3 => "LL3",
-            WorkloadKind::Ll5 => "LL5",
-            WorkloadKind::Ll7 => "LL7",
-            WorkloadKind::Ll12 => "LL12",
-            WorkloadKind::Laplace => "Laplace",
-            WorkloadKind::Mpd => "MPD",
-            WorkloadKind::Matrix => "Matrix",
-            WorkloadKind::Sieve => "Sieve",
-            WorkloadKind::Water => "Water",
-        }
+        Self::SPELLINGS.display(self)
+    }
+
+    /// Short stable identifier for cell ids: the lower-case name.
+    #[must_use]
+    pub fn abbrev(self) -> &'static str {
+        Self::SPELLINGS.id(self)
     }
 
     /// Which benchmark group the workload belongs to.
@@ -141,6 +211,15 @@ impl WorkloadKind {
 impl fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+impl FromStr for WorkloadKind {
+    type Err = String;
+
+    /// Parses a benchmark by its name, ignoring ASCII case.
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::SPELLINGS.parse(s)
     }
 }
 
@@ -312,5 +391,18 @@ mod tests {
         assert_eq!(WorkloadKind::Ll5.group(), Group::I);
         assert_eq!(WorkloadKind::Water.group(), Group::II);
         assert_eq!(WorkloadKind::ALL.len(), 11);
+    }
+
+    #[test]
+    fn workload_spellings_round_trip() {
+        for k in WorkloadKind::ALL {
+            assert_eq!(k.abbrev(), k.name().to_lowercase());
+            assert_eq!(k.abbrev().parse::<WorkloadKind>(), Ok(k));
+            assert_eq!(k.to_string().parse::<WorkloadKind>(), Ok(k));
+            assert_eq!(WorkloadKind::SPELLINGS.from_id(k.abbrev()), Some(k));
+            // Every CLI and the serve wire match names case-insensitively.
+            assert_eq!(k.name().to_uppercase().parse::<WorkloadKind>(), Ok(k));
+        }
+        assert!("quicksort".parse::<WorkloadKind>().is_err());
     }
 }

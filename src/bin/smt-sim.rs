@@ -22,30 +22,34 @@ struct Options {
     verify: bool,
 }
 
-fn usage() -> &'static str {
-    "usage: smt-sim --workload <name> [options]\n\
-     \n\
-     options:\n\
-       --workload <name>    ll1|ll2|ll3|ll5|ll7|ll12|laplace|mpd|matrix|sieve|water\n\
-       --threads <1..6>     resident threads (default 4)\n\
-       --fetch <policy>     truerr|maskedrr|cswitch|icount (default truerr)\n\
-       --predictor <kind>   shared|gshare|partitioned (default shared)\n\
-       --fetch-threads <n>  fetch ports, distinct threads per cycle (default 1)\n\
-       --fetch-width <n>    instructions per fetch block (default 4)\n\
-       --commit <policy>    flexible|lowest (default flexible)\n\
-       --cache <kind>       assoc|direct (default assoc)\n\
-       --su <entries>       scheduling-unit depth (default 32)\n\
-       --fu <cfg>           default|enhanced (default default)\n\
-       --scale <scale>      paper|test (default paper)\n\
-       --no-verify          skip the reference-result check\n\
-       --list               list workloads and exit"
-}
-
-fn parse_workload(name: &str) -> Option<WorkloadKind> {
-    WorkloadKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
+fn usage() -> String {
+    format!(
+        "usage: smt-sim --workload <name> [options]\n\
+         \n\
+         options:\n\
+         --workload <name>    {}\n\
+         --threads <1..6>     resident threads (default 4)\n\
+         --fetch <policy>     {} (default {})\n\
+         --predictor <kind>   {} (default {})\n\
+         --fetch-threads <n>  fetch ports, distinct threads per cycle (default 1)\n\
+         --fetch-width <n>    instructions per fetch block (default 4)\n\
+         --commit <policy>    flexible|lowest (default flexible)\n\
+         --cache <kind>       {} (default {})\n\
+         --su <entries>       scheduling-unit depth (default 32)\n\
+         --fu <cfg>           default|enhanced (default default)\n\
+         --scale <scale>      paper|test (default paper)\n\
+         --no-verify          skip the reference-result check\n\
+         --list               list workloads and exit\n\
+         \n\
+         names also accept their display form and long aliases, in any case",
+        WorkloadKind::SPELLINGS.ids(),
+        FetchPolicy::SPELLINGS.ids(),
+        FetchPolicy::default().abbrev(),
+        PredictorKind::SPELLINGS.ids(),
+        PredictorKind::default().abbrev(),
+        CacheKind::SPELLINGS.ids(),
+        CacheKind::default().abbrev(),
+    )
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -65,8 +69,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "--workload" => {
-                let name = value("--workload")?;
-                opts.kind = parse_workload(name).ok_or(format!("unknown workload `{name}`"))?;
+                opts.kind = value("--workload")?.parse()?;
                 saw_workload = true;
             }
             "--threads" => {
@@ -76,21 +79,10 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opts.config = opts.config.with_threads(n);
             }
             "--fetch" => {
-                opts.config = opts.config.with_fetch_policy(match value("--fetch")? {
-                    "truerr" => FetchPolicy::TrueRoundRobin,
-                    "maskedrr" => FetchPolicy::MaskedRoundRobin,
-                    "cswitch" => FetchPolicy::ConditionalSwitch,
-                    "icount" => FetchPolicy::Icount,
-                    other => return Err(format!("unknown fetch policy `{other}`")),
-                });
+                opts.config = opts.config.with_fetch_policy(value("--fetch")?.parse()?);
             }
             "--predictor" => {
-                opts.config = opts.config.with_predictor(match value("--predictor")? {
-                    "shared" => PredictorKind::SharedBtb,
-                    "gshare" => PredictorKind::Gshare,
-                    "partitioned" => PredictorKind::PartitionedBtb,
-                    other => return Err(format!("unknown predictor `{other}`")),
-                });
+                opts.config = opts.config.with_predictor(value("--predictor")?.parse()?);
             }
             "--fetch-threads" => {
                 let n: usize = value("--fetch-threads")?
@@ -112,11 +104,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 });
             }
             "--cache" => {
-                opts.config = opts.config.with_cache_kind(match value("--cache")? {
-                    "assoc" => CacheKind::SetAssociative,
-                    "direct" => CacheKind::DirectMapped,
-                    other => return Err(format!("unknown cache kind `{other}`")),
-                });
+                opts.config = opts.config.with_cache_kind(value("--cache")?.parse()?);
             }
             "--su" => {
                 let n: usize = value("--su")?.parse().map_err(|e| format!("--su: {e}"))?;
@@ -139,7 +127,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--no-verify" => opts.verify = false,
             "--list" => {
                 for k in WorkloadKind::ALL {
-                    println!("{:<8} {}", k.name().to_lowercase(), k.group());
+                    println!("{:<8} {}", k.abbrev(), k.group());
                 }
                 std::process::exit(0);
             }

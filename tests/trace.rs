@@ -12,7 +12,7 @@
 //!    the `committed` cause equals the architectural instruction count.
 
 use smt_superscalar::core::trace::{CpiStack, SlotCause, Tracer};
-use smt_superscalar::core::{FetchPolicy, SimConfig, SimError, Simulator};
+use smt_superscalar::core::{FetchPolicy, Observers, SimConfig, SimError, Simulator};
 use smt_workloads::{workload, Scale, WorkloadKind};
 
 const FETCH: [FetchPolicy; 3] = [
@@ -80,7 +80,9 @@ fn traced_runs_are_bit_identical_to_untraced() {
         };
         let mut tracer = Tracer::new(config.trace_shape(), 256);
         let mut sim = Simulator::new(config, program);
-        let traced = sim.run_traced(&mut tracer).expect("traced runs complete");
+        let traced = sim
+            .run_with(Observers::trace(&mut tracer))
+            .expect("traced runs complete");
         assert_eq!(
             untraced, traced,
             "{kind:?}/{fetch:?}/{threads}t: tracing must not perturb the machine"
@@ -94,7 +96,9 @@ fn cpi_stack_sums_to_width_times_cycles() {
         let width = config.block_size as u64;
         let mut cpi = CpiStack::new(config.block_size as u32);
         let mut sim = Simulator::new(config, program);
-        let stats = sim.run_traced(&mut cpi).expect("traced runs complete");
+        let stats = sim
+            .run_with(Observers::trace(&mut cpi))
+            .expect("traced runs complete");
         let b = cpi.finish();
         let point = format!("{kind:?}/{fetch:?}/{threads}t");
         assert_eq!(b.cycles, stats.cycles, "{point}: cycle counts agree");
@@ -129,7 +133,7 @@ fn occupancy_telemetry_samples_every_cycle() {
     let config = SimConfig::default().with_threads(4);
     let mut tracer = Tracer::new(config.trace_shape(), 64);
     let mut sim = Simulator::new(config, &program);
-    let stats = sim.run_traced(&mut tracer).unwrap();
+    let stats = sim.run_with(Observers::trace(&mut tracer)).unwrap();
     let occ = &tracer.occupancy;
     assert_eq!(occ.su_entries.samples(), stats.cycles);
     assert_eq!(occ.store_buffer.samples(), stats.cycles);
