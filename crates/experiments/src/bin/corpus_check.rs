@@ -24,6 +24,7 @@ use std::process::ExitCode;
 
 use smt_core::{FetchPolicy, Observers, SimConfig, SimStats, Simulator};
 use smt_corpus::{Corpus, CorpusWorkload};
+use smt_experiments::flag_value;
 use smt_isa::Program;
 use smt_oracle::verify;
 use smt_trace::{CpiBreakdown, CpiStack, SlotCause};
@@ -316,13 +317,6 @@ fn render_stack_row(label: &str, threads: usize, policy: FetchPolicy, b: &CpiBre
         fmt_pct(squash),
         fmt_pct(other),
     )
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 fn main() -> ExitCode {

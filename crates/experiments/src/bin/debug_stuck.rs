@@ -9,15 +9,9 @@
 //! ```
 
 use smt_core::{Observers, SimConfig, Simulator};
+use smt_experiments::flag_value;
 use smt_trace::Tracer;
 use smt_workloads::{workload, Scale, WorkloadKind};
-
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,8 +20,11 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(WorkloadKind::Sieve);
     let threads: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(6);
-    let max_cycles = flag_value(&args, "--cycles").unwrap_or(200_000);
-    let last_k = flag_value(&args, "--last").unwrap_or(64) as usize;
+    let max_cycles: u64 = flag_value(&args, "--cycles").map_or(200_000, |v| {
+        v.parse().expect("--cycles takes a cycle count")
+    });
+    let last_k: usize =
+        flag_value(&args, "--last").map_or(64, |v| v.parse().expect("--last takes a record count"));
 
     let w = workload(kind, Scale::Test);
     let program = w.build(threads).unwrap();

@@ -37,6 +37,8 @@ use std::fmt;
 use std::time::Instant;
 
 use smt_core::{FetchPolicy, Observers, PredictorKind, SimConfig, Simulator, ThreadPrograms};
+use smt_experiments::flag_value;
+use smt_experiments::sweep::par_map;
 use smt_oracle::{verify, verify_with_checkpoints, Divergence, Report};
 use smt_testkit::progen::{GenConfig, MixPlan, Plan};
 use smt_testkit::shrink;
@@ -361,13 +363,6 @@ fn minimize_mix(
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seeds: u64 =
@@ -392,36 +387,14 @@ fn main() {
     let gen_cfg = GenConfig::default();
 
     let began = Instant::now();
-    // Round-robin sharding: seed cost varies (plan size, minimization), so
-    // interleaving balances better than contiguous chunks.
-    let per_worker: Vec<(u64, Vec<Failure>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers as u64)
-            .map(|w| {
-                let gen_cfg = &gen_cfg;
-                s.spawn(move || {
-                    let mut runs = 0;
-                    let mut failures = Vec::new();
-                    let mut seed = start + w;
-                    while seed < start + seeds {
-                        let (r, failure) = fuzz_seed(seed, gen_cfg, trace, checkpoint_every);
-                        runs += r;
-                        failures.extend(failure);
-                        seed += workers as u64;
-                    }
-                    (runs, failures)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fuzz worker panicked"))
-            .collect()
+    let seed_list: Vec<u64> = (start..start + seeds).collect();
+    let per_seed = par_map(&seed_list, workers, |&seed| {
+        fuzz_seed(seed, &gen_cfg, trace, checkpoint_every)
     });
     let elapsed = began.elapsed();
 
-    let total_runs: u64 = per_worker.iter().map(|(r, _)| r).sum();
-    let mut failures: Vec<Failure> = per_worker.into_iter().flat_map(|(_, f)| f).collect();
-    failures.sort_by_key(|f| f.seed);
+    let total_runs: u64 = per_seed.iter().map(|(r, _)| r).sum();
+    let failures: Vec<Failure> = per_seed.into_iter().filter_map(|(_, f)| f).collect();
 
     let secs = elapsed.as_secs_f64();
     let splices = checkpoint_every.map_or(String::new(), |n| {

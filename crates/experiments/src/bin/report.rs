@@ -1,16 +1,16 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! By default the demanded simulations are first *recorded* (no execution),
-//! then prewarmed in parallel across OS threads, and finally the tables are
-//! generated serially from the warmed cache — byte-identical to a fully
-//! serial run, just faster. See `runner.rs` for the mechanism.
+//! One path at every worker count: the demanded simulations are first
+//! *recorded* (no execution), then prewarmed on `--workers` pool threads
+//! (default: every core), and finally the tables are generated from the
+//! warmed memo — byte-identical at any worker count. See `runner.rs` for
+//! the mechanism.
 //!
 //! ```text
 //! cargo run --release -p smt-experiments --bin report            # paper scale
 //! cargo run --release -p smt-experiments --bin report -- --test  # tiny inputs
 //! cargo run --release -p smt-experiments --bin report -- --json results.json
-//! cargo run --release -p smt-experiments --bin report -- --serial  # no threads
-//! cargo run --release -p smt-experiments --bin report -- --workers 8
+//! cargo run --release -p smt-experiments --bin report -- --workers 1
 //! cargo run --release -p smt-experiments --bin report -- --perf results/report_perf.json
 //! ```
 
@@ -18,7 +18,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use smt_experiments::runner::Runner;
-use smt_experiments::{figures, json, Cell};
+use smt_experiments::{figures, flag_value, json, Cell};
 use smt_workloads::Scale;
 
 fn write_file(path: &str, contents: &str) {
@@ -33,13 +33,6 @@ fn write_file(path: &str, contents: &str) {
         .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = if args.iter().any(|a| a == "--test") {
@@ -47,37 +40,31 @@ fn main() {
     } else {
         Scale::Paper
     };
-    let serial = args.iter().any(|a| a == "--serial");
     let json_path = flag_value(&args, "--json");
     let perf_path = flag_value(&args, "--perf");
+    let workers = flag_value(&args, "--workers").map_or_else(
+        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        |n| n.parse().expect("--workers takes a positive integer"),
+    );
 
     let start = Instant::now();
-    let mut runner = Runner::new(scale);
-    let workers = if serial {
-        1
-    } else if let Some(n) = flag_value(&args, "--workers") {
-        n.parse().expect("--workers takes a positive integer")
-    } else {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    };
-    if workers > 1 {
-        // Recording pass: collect every simulation the generators demand.
-        let mut recorder = Runner::recorder(scale);
-        for (_, generator) in figures::all() {
-            let _ = generator(&mut recorder);
-        }
-        let jobs = recorder.into_recorded();
-        eprintln!(
-            "[report] prewarming {} demanded simulations on {workers} workers …",
-            jobs.len()
-        );
-        runner.prewarm(&jobs, workers);
-        eprintln!(
-            "[report]   prewarmed {} unique runs in {:.1}s",
-            runner.runs(),
-            start.elapsed().as_secs_f64()
-        );
+    // Recording pass: collect every simulation the generators demand.
+    let mut recorder = Runner::recorder(scale);
+    for (_, generator) in figures::all() {
+        let _ = generator(&mut recorder);
     }
+    let jobs = recorder.into_recorded();
+    eprintln!(
+        "[report] prewarming {} demanded simulations on {workers} workers …",
+        jobs.len()
+    );
+    let mut runner = Runner::new(scale);
+    runner.prewarm(&jobs, workers);
+    eprintln!(
+        "[report]   prewarmed {} unique runs in {:.1}s",
+        runner.runs(),
+        start.elapsed().as_secs_f64()
+    );
 
     let mut tables = Vec::new();
     for (name, generator) in figures::all() {
@@ -110,7 +97,6 @@ fn main() {
     if let Some(path) = perf_path {
         let perf = json::object_to_json(&[
             ("scale", Cell::Text(format!("{scale:?}"))),
-            ("serial", Cell::Bool(serial)),
             ("workers", Cell::Int(workers as u64)),
             ("simulations", Cell::Int(runner.runs())),
             ("simulated_cycles", Cell::Int(cycles)),

@@ -43,16 +43,10 @@ use std::time::Instant;
 
 use smt_corpus::Corpus;
 use smt_experiments::explore::{run_search, EvalMode, SearchSpace};
+use smt_experiments::flag_value;
 use smt_experiments::sweep::{run_sweep, Grid, Scheduler, SweepOptions, WorkSpec};
 use smt_search::SearchParams;
 use smt_workloads::Scale;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -26,15 +26,9 @@ use std::io::Write as _;
 use std::str::FromStr;
 
 use smt_core::{FetchPolicy, Observers, PredictorKind, SimConfig, Simulator};
+use smt_experiments::flag_value;
 use smt_trace::{export, Tracer};
 use smt_workloads::{workload, Scale, WorkloadKind};
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// `flag`'s value in any spelling its enum's table accepts, or `default`.
 fn enum_flag<T: FromStr<Err = String>>(args: &[String], flag: &str, default: T) -> T {

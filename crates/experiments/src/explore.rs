@@ -49,7 +49,9 @@ use smt_mem::CacheKind;
 use smt_search::{Axis, Evaluation, Objectives, SearchOutcome, SearchParams};
 
 use crate::json::object_to_json;
-use crate::sweep::{write_atomic, CellRecord, CellSpec, CellStatus, Scheduler, WorkSpec};
+use crate::sweep::{
+    load_record, write_atomic, CellRecord, CellSpec, CellStatus, Scheduler, WorkSpec,
+};
 use crate::Cell;
 
 /// How a point's IPC is measured.
@@ -391,83 +393,63 @@ impl<'a> Explorer<'a> {
         let path = warm_cells_dir(self.sched.out()).join(format!("{wid}.cell"));
         let code_version = self.sched.opts().code_version.clone();
         let (config_hash, program_hash, built) = self.sched.identities(spec);
-        if let Some(rec) = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| CellRecord::parse(&text))
-            .filter(|rec| {
-                rec.id == wid
-                    && rec.code_version == code_version
-                    && rec.config_hash == config_hash
-                    && rec.program_hash == program_hash
-            })
-        {
+        if let Some(rec) = load_record(&path, &wid, &code_version, config_hash, program_hash) {
             return rec;
         }
-        let programs = match built.as_ref() {
-            Err(e) => {
-                let rec = crate::sweep::infeasible_record(
-                    spec,
-                    &code_version,
-                    config_hash,
-                    0,
-                    format!("kernel does not lower at {} threads: {e}", spec.threads),
-                );
-                return self.persist_warm(&path, wid, rec);
-            }
-            Ok(ps) => ps.clone(),
+        let infeasible = |program_hash, reason| {
+            CellRecord::infeasible(
+                wid.clone(),
+                &code_version,
+                config_hash,
+                program_hash,
+                reason,
+            )
         };
-        let snap = match self.shared_warm(&programs, warmup) {
-            Ok(snap) => snap,
-            Err(why) => {
+        let rec = match built.as_ref() {
+            Err(e) => infeasible(
+                0,
+                format!("kernel does not lower at {} threads: {e}", spec.threads),
+            ),
+            Ok(programs) => match self.shared_warm(programs, warmup) {
                 // The kernel is too short (or otherwise unable) to warm:
                 // fall back to the exact cold run, re-recorded under the
                 // warm id so the trajectory stays self-contained. The
                 // fallback reason travels in the record.
-                let mut rec = self.full_record(spec);
-                rec.id.clone_from(&wid);
-                rec.reason = format!("warm fallback: {why}");
-                return self.persist_warm(&path, wid, rec);
-            }
+                Err(why) => CellRecord {
+                    id: wid.clone(),
+                    reason: format!("warm fallback: {why}"),
+                    ..self.full_record(spec)
+                },
+                Ok(snap) => match Simulator::fork_warm(spec.config(), &programs[..], &snap) {
+                    Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
+                        infeasible(program_hash, e.to_string())
+                    }
+                    Err(e) => panic!("{wid}: warm fork rejected: {e}"),
+                    Ok(mut sim) => {
+                        let stats = sim
+                            .run()
+                            .unwrap_or_else(|e| panic!("{wid}: measurement window failed: {e}"));
+                        // The warm path approximates *measurement*, never
+                        // correctness.
+                        self.sched
+                            .programs
+                            .verify(&spec.work, &sim)
+                            .unwrap_or_else(|e| panic!("{wid}: wrong answer after warm fork: {e}"));
+                        // Measurement-window numbers only: the fork starts
+                        // its cycle and stat counters at zero, so these
+                        // exclude the warmup.
+                        CellRecord::done(
+                            wid.clone(),
+                            &code_version,
+                            config_hash,
+                            program_hash,
+                            &stats,
+                        )
+                    }
+                },
+            },
         };
-        let mut sim = match Simulator::fork_warm(spec.config(), &programs[..], &snap) {
-            Ok(sim) => sim,
-            Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
-                let rec = crate::sweep::infeasible_record(
-                    spec,
-                    &code_version,
-                    config_hash,
-                    program_hash,
-                    e.to_string(),
-                );
-                return self.persist_warm(&path, wid, rec);
-            }
-            Err(e) => panic!("{wid}: warm fork rejected: {e}"),
-        };
-        let stats = sim
-            .run()
-            .unwrap_or_else(|e| panic!("{wid}: measurement window failed: {e}"));
-        self.verify(&wid, spec, &sim);
-        let rec = CellRecord {
-            id: wid.clone(),
-            code_version,
-            config_hash,
-            program_hash,
-            status: CellStatus::Done,
-            // Measurement-window numbers only: the fork starts its cycle
-            // and stat counters at zero, so these exclude the warmup.
-            cycles: stats.cycles,
-            committed: stats.committed_total(),
-            ipc: stats.ipc(),
-            hit_rate: stats.cache.hit_rate(),
-            branch_accuracy: stats.branches.accuracy(),
-            su_stalls: stats.su_stall_cycles,
-            reason: String::new(),
-        };
-        self.persist_warm(&path, wid, rec)
-    }
-
-    fn persist_warm(&self, path: &Path, wid: String, rec: CellRecord) -> CellRecord {
-        write_atomic(path, rec.to_lines().as_bytes())
+        write_atomic(&path, rec.to_lines().as_bytes())
             .unwrap_or_else(|e| panic!("{wid}: cannot persist warm cell: {e}"));
         rec
     }
@@ -497,26 +479,6 @@ impl<'a> Explorer<'a> {
             };
         self.warm_snap = Some(snap.clone());
         Ok(snap)
-    }
-
-    /// Re-verifies a forked run's architectural answer, per tenant
-    /// segment for mixes — the warm path approximates *measurement*,
-    /// never correctness.
-    fn verify(&self, wid: &str, spec: &CellSpec, sim: &Simulator<'_>) {
-        let words = sim.memory().words();
-        if spec.work.is_mix() {
-            for (tid, r) in spec.work.refs().iter().enumerate() {
-                let (base, span) = sim.thread_segment(tid);
-                let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
-                self.sched.check_ref(r, local).unwrap_or_else(|e| {
-                    panic!("{wid}: thread {tid} wrong answer after warm fork: {e}")
-                });
-            }
-        } else {
-            self.sched
-                .check_ref(&spec.work.refs()[0], words)
-                .unwrap_or_else(|e| panic!("{wid}: wrong answer after warm fork: {e}"));
-        }
     }
 }
 

@@ -153,7 +153,8 @@ pub fn table2_hit_rates(runner: &mut Runner) -> Table {
                                 cache,
                                 ..RunKey::default_point(kind)
                             })
-                            .hit_rate
+                            .cache
+                            .hit_rate()
                     })
                     .sum();
                 row.push(Cell::Float(sum / kinds.len() as f64));
@@ -264,7 +265,8 @@ pub fn table3_fu_usage(runner: &mut Runner) -> Table {
                         enhanced_fu: true,
                         ..RunKey::default_point(kind)
                     };
-                    runner.extra_fu_usage(key, class)
+                    let stats = runner.run(key);
+                    stats.fu.extra_unit_pct(class, stats.cycles)
                 })
                 .sum();
             row.push(Cell::Float(sum / kinds.len() as f64));
@@ -294,8 +296,8 @@ fn commit_figure(runner: &mut Runner, group: Group, id: &str) -> Table {
             vec![
                 Cell::Int(flexible.cycles),
                 Cell::Int(lowest.cycles),
-                Cell::Int(flexible.su_stalls),
-                Cell::Int(lowest.su_stalls),
+                Cell::Int(flexible.su_stall_cycles),
+                Cell::Int(lowest.su_stall_cycles),
             ],
         );
     }
@@ -335,7 +337,7 @@ pub fn summary_speedups(runner: &mut Runner) -> Table {
                 best_threads = threads;
             }
         }
-        let accuracy = runner.run(RunKey::default_point(kind)).branch_accuracy;
+        let accuracy = runner.run(RunKey::default_point(kind)).branches.accuracy();
         t.push_row(
             kind.name(),
             vec![
@@ -555,19 +557,18 @@ pub fn obs_per_thread_ipc(runner: &mut Runner) -> Table {
         ],
     );
     for kind in WorkloadKind::ALL {
-        let o = runner.run(RunKey::default_point(kind));
-        let per = o.stats.per_thread_ipc();
-        let mut row: Vec<Cell> = o
-            .stats
+        let stats = runner.run(RunKey::default_point(kind));
+        let per = stats.per_thread_ipc();
+        let mut row: Vec<Cell> = stats
             .committed
             .iter()
             .map(|&c| Cell::Int(c))
             .chain(per.iter().map(|&i| Cell::Float(i)))
             .collect();
-        // The recording pass hands back a default-stats dummy with no
+        // The recording pass hands back placeholder stats with no
         // per-thread vectors; pad so the row width check holds either way.
         row.resize(8, Cell::Int(0));
-        row.push(Cell::Float(o.stats.ipc()));
+        row.push(Cell::Float(stats.ipc()));
         t.push_row(kind.name(), row);
     }
     t

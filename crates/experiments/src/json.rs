@@ -65,7 +65,6 @@ fn cell_into(out: &mut String, cell: &Cell) {
         }
         Cell::Float(v) => float_into(out, *v),
         Cell::Text(s) => escape_into(out, s),
-        Cell::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
 }
 
@@ -693,20 +692,12 @@ mod tests {
     fn cells_serialize_flat() {
         let row = Row {
             label: "r".into(),
-            values: vec![Cell::Int(1), Cell::Float(0.5), Cell::Bool(false)],
+            values: vec![Cell::Int(1), Cell::Float(0.5), Cell::Text("x".into())],
         };
         let mut out = String::new();
         row_into(&mut out, &row, 0);
         assert!(out.contains("\"label\": \"r\""), "{out}");
-        assert!(out.contains("[1, 0.5, false]"), "{out}");
-    }
-
-    #[test]
-    fn bools_are_bare_literals() {
-        let json = object_to_json(&[("on", Cell::Bool(true)), ("off", Cell::Bool(false))]);
-        assert!(json.contains("\"on\": true"), "{json}");
-        assert!(json.contains("\"off\": false"), "{json}");
-        assert!(!json.contains("\"true\""), "{json}");
+        assert!(out.contains("[1, 0.5, \"x\"]"), "{out}");
     }
 
     #[test]

@@ -22,6 +22,16 @@ pub mod sweep;
 
 use std::fmt;
 
+/// The value following `flag` in a command line (`--out dir` → `dir`),
+/// shared by the experiments and serve binaries.
+#[must_use]
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
 /// One cell of a result table.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Cell {
@@ -31,8 +41,6 @@ pub enum Cell {
     Float(f64),
     /// Labels.
     Text(String),
-    /// Flags (serialized as JSON `true`/`false`, not quoted strings).
-    Bool(bool),
 }
 
 impl fmt::Display for Cell {
@@ -41,7 +49,6 @@ impl fmt::Display for Cell {
             Cell::Int(v) => write!(f, "{v}"),
             Cell::Float(v) => write!(f, "{v:.2}"),
             Cell::Text(s) => f.write_str(s),
-            Cell::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
         }
     }
 }
@@ -61,12 +68,6 @@ impl From<f64> for Cell {
 impl From<&str> for Cell {
     fn from(v: &str) -> Self {
         Cell::Text(v.to_string())
-    }
-}
-
-impl From<bool> for Cell {
-    fn from(v: bool) -> Self {
-        Cell::Bool(v)
     }
 }
 

@@ -1,37 +1,36 @@
 //! Memoizing simulation runner used by the figure generators.
 //!
 //! The paper's figures share many configuration points (the 4-thread
-//! True-RR default appears in nearly every one), so the runner caches
-//! results keyed by the swept dimensions. Every run is *verified* against
-//! the workload's reference checker before being cached — a figure can
-//! never be generated from a wrong-answer simulation.
+//! True-RR default appears in nearly every one), so the runner memoizes
+//! each demanded [`Job`]. It is a thin memo over the sweep engine's
+//! executor pieces: kernels come from the shared program memo, prewarming
+//! runs on the one worker pool ([`par_map`]), and every run's answer goes
+//! through the same check as a sweep cell before it is memoized — a
+//! figure can never be generated from a wrong-answer simulation.
 //!
-//! # Parallel prewarming
+//! # Record, prewarm, generate
 //!
-//! Generating the full report serially means hundreds of independent
-//! simulations back to back. The runner therefore supports a three-step
-//! parallel mode used by the `report` binary:
+//! The `report` binary renders in three steps:
 //!
 //! 1. **Record** — run every generator against a [`Runner::recorder`],
 //!    which executes nothing and instead collects the demanded [`Job`]s
-//!    (dummy outcomes keep the generators' arithmetic well-defined);
+//!    (placeholder results keep the generators' arithmetic well-defined);
 //! 2. **Prewarm** — [`Runner::prewarm`] deduplicates the jobs and runs
-//!    them across `std::thread::scope` workers, merging the verified
-//!    outcomes into the memo caches;
-//! 3. **Generate** — rerun the generators serially against the warmed
-//!    runner. Every lookup hits the cache, so the emitted tables are
-//!    byte-identical to a fully serial run (simulations are
-//!    deterministic), only faster.
+//!    them on the worker pool, merging the verified results into the memo;
+//! 3. **Generate** — rerun the generators against the warmed runner.
+//!    Every lookup hits the memo, so the emitted tables are byte-identical
+//!    to a lazily demanded run (simulations are deterministic) at any
+//!    worker count.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
 
 use smt_core::{CommitPolicy, FetchPolicy, Observers, SimConfig, SimStats, Simulator};
-use smt_isa::{FuClass, Program};
 use smt_mem::CacheKind;
 use smt_trace::{CpiBreakdown, CpiStack, SlotCause};
 use smt_uarch::FuConfig;
-use smt_workloads::{workload, Scale, WorkloadKind};
+use smt_workloads::{Scale, WorkloadKind};
+
+use crate::sweep::{par_map, Programs, WorkSpec};
 
 /// The dimensions the paper sweeps, as a hashable cache key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -96,26 +95,12 @@ impl RunKey {
     }
 }
 
-/// Measurements kept from one verified run.
-#[derive(Clone, Debug)]
-pub struct RunOutcome {
-    /// Total cycles.
-    pub cycles: u64,
-    /// Data-cache hit rate in percent.
-    pub hit_rate: f64,
-    /// Branch-prediction accuracy in percent.
-    pub branch_accuracy: f64,
-    /// Scheduling-unit stall cycles.
-    pub su_stalls: u64,
-    /// Full statistics (for Table 3's functional-unit usage etc.).
-    pub stats: SimStats,
-}
-
-/// One simulation demanded by a figure generator, captured by the
-/// recording pass and replayed in parallel by [`Runner::prewarm`].
+/// One simulation demanded by a figure generator: the memo key, and what
+/// the recording pass captures for [`Runner::prewarm`]. Each distinct job
+/// is exactly one simulation.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Job {
-    /// A memoized sweep point ([`Runner::run`]).
+    /// A sweep point ([`Runner::run`]).
     Key(RunKey),
     /// An arbitrary-configuration run ([`Runner::run_config`]). The
     /// configuration is boxed to keep the enum small next to [`RunKey`].
@@ -124,135 +109,77 @@ pub enum Job {
     Cpi(RunKey),
 }
 
-/// The result of one prewarm job, matching the [`Job`] variant.
-enum WarmOutcome {
-    Plain(Box<RunOutcome>),
-    Cpi(Box<CpiBreakdown>),
-}
+/// What one job measured: the run's statistics, plus its CPI stack for
+/// [`Job::Cpi`]. Boxed so the memo and the pool's result vectors hold
+/// pointers rather than copies of the statistics, which keeps `report`'s
+/// peak RSS down.
+type Measured = Box<(SimStats, Option<CpiBreakdown>)>;
 
-/// Memo of built (and predecoded) kernels keyed `(kind, threads)`. The
-/// paper's sweeps revisit the same kernel at the same thread count under
-/// hundreds of machine configurations; the program text depends only on
-/// `(kind, threads)` at a fixed scale, so each is built once and shared —
-/// across the serial paths and the prewarm workers alike. One cache serves
-/// exactly one [`Runner`] (and hence one scale); the scale is deliberately
-/// not part of the key.
-#[derive(Default, Debug)]
-struct ProgramCache {
-    built: Mutex<HashMap<(WorkloadKind, usize), Arc<Program>>>,
-}
-
-impl ProgramCache {
-    /// The built kernel for `(kind, threads)`, building and caching it on
-    /// first demand.
-    fn get(&self, scale: Scale, kind: WorkloadKind, threads: usize) -> Arc<Program> {
-        let mut built = self.built.lock().expect("program cache poisoned");
-        Arc::clone(built.entry((kind, threads)).or_insert_with(|| {
-            Arc::new(
-                workload(kind, scale)
-                    .build(threads)
-                    .expect("kernel fits the partition"),
-            )
-        }))
-    }
-
-    /// Number of distinct kernels built so far.
-    fn len(&self) -> usize {
-        self.built.lock().expect("program cache poisoned").len()
-    }
-}
-
-/// Builds, runs, and verifies one simulation. Shared by the serial paths
-/// and the prewarm workers.
+/// Builds, runs, and verifies one job's simulation, with a [`CpiStack`]
+/// attached only for [`Job::Cpi`]. Traced runs are cycle-for-cycle
+/// identical to untraced ones (the golden tests prove it).
 ///
 /// # Panics
 ///
-/// Panics if the simulation errors or its architectural result fails the
-/// workload checker — a figure must never be built from a broken run.
-fn execute(
-    scale: Scale,
-    kind: WorkloadKind,
-    config: &SimConfig,
-    programs: &ProgramCache,
-) -> RunOutcome {
-    let w = workload(kind, scale);
-    let program = programs.get(scale, kind, config.threads);
-    let mut sim = Simulator::new(config.clone(), &*program);
-    let stats = sim
-        .run()
-        .unwrap_or_else(|e| panic!("{} under {config:?}: {e}", w.name()));
-    w.check(sim.memory().words())
-        .unwrap_or_else(|e| panic!("{} under {config:?}: wrong answer: {e}", w.name()));
-    RunOutcome {
-        cycles: stats.cycles,
-        hit_rate: stats.cache.hit_rate(),
-        branch_accuracy: stats.branches.accuracy(),
-        su_stalls: stats.su_stall_cycles,
-        stats,
+/// Panics if the simulation errors, its architectural result fails the
+/// workload checker, or a CPI stack does not sum to `block_size × cycles`
+/// — a figure must never be built from a broken run.
+fn execute(programs: &Programs, job: &Job) -> Measured {
+    let (kind, config) = match job {
+        Job::Key(key) | Job::Cpi(key) => (key.kind, key.to_config()),
+        Job::Config(kind, config) => (*kind, config.as_ref().clone()),
+    };
+    let work = WorkSpec::uniform(kind);
+    let built = programs.get(&work, config.threads);
+    let program = built
+        .as_ref()
+        .as_ref()
+        .unwrap_or_else(|e| panic!("{work} at {} threads: {e}", config.threads));
+    let mut sim = Simulator::new(config.clone(), &program[..]);
+    let mut cpi = matches!(job, Job::Cpi(_)).then(|| CpiStack::new(config.block_size as u32));
+    let stats = match cpi.as_mut() {
+        Some(stack) => sim.run_with(Observers::trace(stack)),
+        None => sim.run(),
     }
+    .unwrap_or_else(|e| panic!("{work} under {config:?}: {e}"));
+    programs
+        .verify(&work, &sim)
+        .unwrap_or_else(|e| panic!("{work} under {config:?}: wrong answer: {e}"));
+    let breakdown = cpi.map(|stack| {
+        let breakdown = stack.finish();
+        assert_eq!(
+            breakdown.total_slots(),
+            config.block_size as u64 * stats.cycles,
+            "{work}: CPI stack must account every slot"
+        );
+        breakdown
+    });
+    Box::new((stats, breakdown))
 }
 
-/// Like [`execute`], but with a [`CpiStack`] attached: returns the slot
-/// attribution of the run instead of the raw counters. Verified the same
-/// way, and the sum invariant (`slots == block_size × cycles`) is asserted
-/// on every prewarmed/memoized breakdown.
-fn execute_cpi(
-    scale: Scale,
-    kind: WorkloadKind,
-    config: &SimConfig,
-    programs: &ProgramCache,
-) -> CpiBreakdown {
-    let w = workload(kind, scale);
-    let program = programs.get(scale, kind, config.threads);
-    let mut sim = Simulator::new(config.clone(), &*program);
-    let mut cpi = CpiStack::new(config.block_size as u32);
-    let stats = sim
-        .run_with(Observers::trace(&mut cpi))
-        .unwrap_or_else(|e| panic!("{} under {config:?}: {e}", w.name()));
-    w.check(sim.memory().words())
-        .unwrap_or_else(|e| panic!("{} under {config:?}: wrong answer: {e}", w.name()));
-    let breakdown = cpi.finish();
-    assert_eq!(
-        breakdown.total_slots(),
-        config.block_size as u64 * stats.cycles,
-        "{}: CPI stack must account every slot",
-        w.name()
-    );
-    breakdown
-}
-
-/// A placeholder outcome handed out while recording. `cycles` is 1 so the
-/// generators' ratios and speedup formulas stay finite.
-fn dummy_outcome() -> RunOutcome {
-    RunOutcome {
+/// The placeholder handed out while recording: one committed slot in one
+/// one-wide cycle, so the generators' ratios, speedups and shares stay
+/// finite.
+fn placeholder() -> Measured {
+    let stats = SimStats {
         cycles: 1,
-        hit_rate: 0.0,
-        branch_accuracy: 0.0,
-        su_stalls: 0,
-        stats: SimStats::default(),
-    }
-}
-
-/// Placeholder breakdown for the recording pass: one committed slot in one
-/// one-wide cycle, so shares and CPIs stay finite.
-fn dummy_breakdown() -> CpiBreakdown {
+        ..SimStats::default()
+    };
     let mut slots = [0u64; SlotCause::COUNT];
     slots[SlotCause::Committed.index()] = 1;
-    CpiBreakdown {
+    let breakdown = CpiBreakdown {
         width: 1,
         cycles: 1,
         committed: 1,
         slots,
-    }
+    };
+    Box::new((stats, Some(breakdown)))
 }
 
 /// Memoizing, self-verifying runner.
 pub struct Runner {
-    scale: Scale,
-    cache: HashMap<RunKey, RunOutcome>,
-    config_cache: HashMap<(WorkloadKind, SimConfig), RunOutcome>,
-    cpi_cache: HashMap<RunKey, CpiBreakdown>,
-    programs: ProgramCache,
+    programs: Programs,
+    memo: HashMap<Job, Measured>,
     runs: u64,
     sim_cycles: u64,
     recording: Option<Vec<Job>>,
@@ -263,20 +190,17 @@ impl Runner {
     #[must_use]
     pub fn new(scale: Scale) -> Self {
         Runner {
-            scale,
-            cache: HashMap::new(),
-            config_cache: HashMap::new(),
-            cpi_cache: HashMap::new(),
-            programs: ProgramCache::default(),
+            programs: Programs::new(scale, None),
+            memo: HashMap::new(),
             runs: 0,
             sim_cycles: 0,
             recording: None,
         }
     }
 
-    /// Creates a *recording* runner: [`Runner::run`] and
-    /// [`Runner::run_config`] execute nothing, return dummy outcomes, and
-    /// log the demanded [`Job`]s for [`Runner::into_recorded`].
+    /// Creates a *recording* runner: every run executes nothing, returns
+    /// a placeholder, and logs the demanded [`Job`] for
+    /// [`Runner::into_recorded`].
     #[must_use]
     pub fn recorder(scale: Scale) -> Self {
         Runner {
@@ -290,12 +214,6 @@ impl Runner {
     #[must_use]
     pub fn into_recorded(self) -> Vec<Job> {
         self.recording.unwrap_or_default()
-    }
-
-    /// The problem scale in use.
-    #[must_use]
-    pub fn scale(&self) -> Scale {
-        self.scale
     }
 
     /// Number of actual (non-memoized) simulations performed.
@@ -318,92 +236,46 @@ impl Runner {
         self.programs.len()
     }
 
-    /// Runs the deduplicated `jobs` across `workers` scoped threads and
-    /// merges the verified outcomes into the memo caches. Jobs already
-    /// cached are skipped. Subsequent [`Runner::run`]/[`Runner::run_config`]
-    /// calls for these points are cache hits, so a generation pass after a
-    /// prewarm emits exactly what a serial pass would.
+    fn memoize(&mut self, job: Job, measured: Measured) {
+        self.runs += 1;
+        self.sim_cycles += measured.0.cycles;
+        self.memo.insert(job, measured);
+    }
+
+    /// Runs the deduplicated `jobs` not yet memoized on `workers` pool
+    /// threads and merges the verified results into the memo. Later
+    /// demands for these jobs are memo hits, so a generation pass after a
+    /// prewarm emits exactly what a lazy pass would.
     ///
     /// # Panics
     ///
-    /// Panics if any worker's simulation errors or fails verification.
+    /// Panics if any simulation errors or fails verification.
     pub fn prewarm(&mut self, jobs: &[Job], workers: usize) {
         let mut seen = HashSet::new();
         let pending: Vec<&Job> = jobs
             .iter()
-            .filter(|job| seen.insert(*job))
-            .filter(|job| match job {
-                Job::Key(key) => !self.cache.contains_key(key),
-                Job::Config(kind, cfg) => !self
-                    .config_cache
-                    .contains_key(&(*kind, cfg.as_ref().clone())),
-                Job::Cpi(key) => !self.cpi_cache.contains_key(key),
-            })
+            .filter(|job| !self.memo.contains_key(*job) && seen.insert(*job))
             .collect();
-        if pending.is_empty() {
-            return;
-        }
-        let workers = workers.clamp(1, pending.len());
-        let scale = self.scale;
         let programs = &self.programs;
-        // Shard round-robin: neighbouring jobs (same figure, similar cost)
-        // spread across workers, which balances better than contiguous
-        // chunks when one sweep's simulations dwarf another's.
-        let outcomes: Vec<Vec<(&Job, WarmOutcome)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let shard: Vec<&Job> =
-                        pending.iter().skip(w).step_by(workers).copied().collect();
-                    s.spawn(move || {
-                        shard
-                            .into_iter()
-                            .map(|job| {
-                                let outcome = match job {
-                                    Job::Key(key) => WarmOutcome::Plain(Box::new(execute(
-                                        scale,
-                                        key.kind,
-                                        &key.to_config(),
-                                        programs,
-                                    ))),
-                                    Job::Config(kind, cfg) => WarmOutcome::Plain(Box::new(
-                                        execute(scale, *kind, cfg, programs),
-                                    )),
-                                    Job::Cpi(key) => WarmOutcome::Cpi(Box::new(execute_cpi(
-                                        scale,
-                                        key.kind,
-                                        &key.to_config(),
-                                        programs,
-                                    ))),
-                                };
-                                (job, outcome)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("prewarm worker panicked"))
-                .collect()
-        });
-        for (job, outcome) in outcomes.into_iter().flatten() {
-            self.runs += 1;
-            match (job, outcome) {
-                (Job::Key(key), WarmOutcome::Plain(o)) => {
-                    self.sim_cycles += o.cycles;
-                    self.cache.insert(*key, *o);
-                }
-                (Job::Config(kind, cfg), WarmOutcome::Plain(o)) => {
-                    self.sim_cycles += o.cycles;
-                    self.config_cache.insert((*kind, cfg.as_ref().clone()), *o);
-                }
-                (Job::Cpi(key), WarmOutcome::Cpi(b)) => {
-                    self.sim_cycles += b.cycles;
-                    self.cpi_cache.insert(*key, *b);
-                }
-                _ => unreachable!("job and outcome variants always match"),
-            }
+        let measured = par_map(&pending, workers, |job| execute(programs, job));
+        for (job, m) in pending.into_iter().zip(measured) {
+            self.memoize(job.clone(), m);
         }
+    }
+
+    /// The one demand path: records `job` when recording, else recalls
+    /// or executes and memoizes it.
+    fn demand(&mut self, job: Job) -> Measured {
+        if let Some(jobs) = &mut self.recording {
+            jobs.push(job);
+            return placeholder();
+        }
+        if let Some(hit) = self.memo.get(&job) {
+            return hit.clone();
+        }
+        let measured = execute(&self.programs, &job);
+        self.memoize(job, measured.clone());
+        measured
     }
 
     /// Runs (or recalls) the simulation at `key`.
@@ -412,19 +284,8 @@ impl Runner {
     ///
     /// Panics if the simulation errors or its architectural result fails the
     /// workload checker — a figure must never be built from a broken run.
-    pub fn run(&mut self, key: RunKey) -> RunOutcome {
-        if let Some(jobs) = &mut self.recording {
-            jobs.push(Job::Key(key));
-            return dummy_outcome();
-        }
-        if let Some(hit) = self.cache.get(&key) {
-            return hit.clone();
-        }
-        let outcome = execute(self.scale, key.kind, &key.to_config(), &self.programs);
-        self.runs += 1;
-        self.sim_cycles += outcome.cycles;
-        self.cache.insert(key, outcome.clone());
-        outcome
+    pub fn run(&mut self, key: RunKey) -> SimStats {
+        self.demand(Job::Key(key)).0
     }
 
     /// Cycles at `key` (convenience).
@@ -432,36 +293,18 @@ impl Runner {
         self.run(key).cycles
     }
 
-    /// The paper's Table 3 metric at `key`: percentage of cycles the *extra*
-    /// unit of `class` was occupied.
-    pub fn extra_fu_usage(&mut self, key: RunKey, class: FuClass) -> f64 {
-        let o = self.run(key);
-        o.stats.fu.extra_unit_pct(class, o.cycles)
-    }
-
     /// Runs (or recalls) the simulation at `key` with a [`CpiStack`]
-    /// attached, returning the slot-bandwidth attribution. Traced runs are
-    /// cycle-for-cycle identical to untraced ones (the golden tests prove
-    /// it), so this shares the program cache but keeps its own memo — the
-    /// untraced caches stay warm for the counter-based figures.
+    /// attached, returning the slot-bandwidth attribution. Memoized apart
+    /// from [`Runner::run`] at the same key: each is its own job.
     ///
     /// # Panics
     ///
     /// Panics if the simulation errors, fails verification, or the stack
     /// does not sum to `block_size × cycles`.
     pub fn run_cpi(&mut self, key: RunKey) -> CpiBreakdown {
-        if let Some(jobs) = &mut self.recording {
-            jobs.push(Job::Cpi(key));
-            return dummy_breakdown();
-        }
-        if let Some(hit) = self.cpi_cache.get(&key) {
-            return hit.clone();
-        }
-        let breakdown = execute_cpi(self.scale, key.kind, &key.to_config(), &self.programs);
-        self.runs += 1;
-        self.sim_cycles += breakdown.cycles;
-        self.cpi_cache.insert(key, breakdown.clone());
-        breakdown
+        self.demand(Job::Cpi(key))
+            .1
+            .expect("a CPI job measures its stack")
     }
 
     /// Runs a benchmark under an arbitrary configuration (for the ablation
@@ -471,25 +314,15 @@ impl Runner {
     /// # Panics
     ///
     /// Panics if the simulation errors or fails its result check.
-    pub fn run_config(&mut self, kind: WorkloadKind, config: SimConfig) -> RunOutcome {
-        if let Some(jobs) = &mut self.recording {
-            jobs.push(Job::Config(kind, Box::new(config)));
-            return dummy_outcome();
-        }
-        if let Some(hit) = self.config_cache.get(&(kind, config.clone())) {
-            return hit.clone();
-        }
-        let outcome = execute(self.scale, kind, &config, &self.programs);
-        self.runs += 1;
-        self.sim_cycles += outcome.cycles;
-        self.config_cache.insert((kind, config), outcome.clone());
-        outcome
+    pub fn run_config(&mut self, kind: WorkloadKind, config: SimConfig) -> SimStats {
+        self.demand(Job::Config(kind, Box::new(config))).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_isa::FuClass;
 
     #[test]
     fn memoization_avoids_reruns() {
@@ -627,6 +460,22 @@ mod tests {
         assert!(b.cpi().is_finite());
         assert_eq!(r.runs(), 0);
         assert_eq!(r.into_recorded(), vec![Job::Cpi(key)]);
+    }
+
+    #[test]
+    fn each_job_variant_is_its_own_simulation() {
+        let key = RunKey::default_point(WorkloadKind::Sieve);
+        let mut r = Runner::new(Scale::Test);
+        let cycles = r.run(key).cycles;
+        r.run_config(WorkloadKind::Sieve, key.to_config());
+        r.run_cpi(key);
+        assert_eq!(
+            r.runs(),
+            3,
+            "the same point under three jobs runs three times"
+        );
+        assert_eq!(r.sim_cycles(), 3 * cycles);
+        assert_eq!(r.programs_built(), 1, "all three share one kernel");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::{fmt, fs};
 
@@ -42,9 +42,9 @@ use smt_checkpoint::{Reader, Writer};
 use smt_core::config::defaults;
 use smt_core::{
     config_identity, program_identity, FetchPolicy, Observers, PredictorKind, SimConfig, SimError,
-    Simulator, Snapshot,
+    SimStats, Simulator, Snapshot,
 };
-use smt_corpus::Corpus;
+use smt_corpus::{Corpus, CorpusWorkload};
 use smt_isa::Program;
 use smt_mem::CacheKind;
 use smt_trace::{CpiBreakdown, CpiStack};
@@ -523,6 +523,56 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
+    /// The record of a cell that simulated to completion and verified.
+    #[must_use]
+    pub(crate) fn done(
+        id: String,
+        code_version: &str,
+        config_hash: u64,
+        program_hash: u64,
+        stats: &SimStats,
+    ) -> Self {
+        CellRecord {
+            id,
+            code_version: code_version.to_string(),
+            config_hash,
+            program_hash,
+            status: CellStatus::Done,
+            cycles: stats.cycles,
+            committed: stats.committed_total(),
+            ipc: stats.ipc(),
+            hit_rate: stats.cache.hit_rate(),
+            branch_accuracy: stats.branches.accuracy(),
+            su_stalls: stats.su_stall_cycles,
+            reason: String::new(),
+        }
+    }
+
+    /// The record of a cell that cannot run at its configuration point.
+    #[must_use]
+    pub(crate) fn infeasible(
+        id: String,
+        code_version: &str,
+        config_hash: u64,
+        program_hash: u64,
+        reason: String,
+    ) -> Self {
+        CellRecord {
+            id,
+            code_version: code_version.to_string(),
+            config_hash,
+            program_hash,
+            status: CellStatus::Infeasible,
+            cycles: 0,
+            committed: 0,
+            ipc: 0.0,
+            hit_rate: 0.0,
+            branch_accuracy: 0.0,
+            su_stalls: 0,
+            reason,
+        }
+    }
+
     /// Serializes the record as `key=value` lines (the cell-cache format;
     /// the repository has no JSON *parser*, so the cache uses a format that
     /// is trivial to read back).
@@ -550,15 +600,17 @@ impl CellRecord {
         )
     }
 
-    /// Parses a record back from its `key=value` form. Any missing or
-    /// malformed field yields `None` — the caller treats the record as
-    /// absent and re-runs the cell (fail closed).
+    /// Parses a record back from its `key=value` form. Any missing,
+    /// malformed or repeated field yields `None` — the caller treats the
+    /// record as absent and re-runs the cell (fail closed).
     #[must_use]
     pub fn parse(text: &str) -> Option<Self> {
         let mut kv = HashMap::new();
         for line in text.lines() {
             let (k, v) = line.split_once('=')?;
-            kv.insert(k, v);
+            if kv.insert(k, v).is_some() {
+                return None;
+            }
         }
         let hex = |k: &str| {
             kv.get(k)
@@ -718,22 +770,43 @@ pub fn plan_batches(specs: &[CellSpec], batch: usize) -> Vec<Vec<usize>> {
 /// count.
 pub(crate) type Built = Arc<Result<Vec<Program>, String>>;
 
-/// Kernel memo shared by the workers: the program text depends only on
-/// `(work, threads)` at a fixed scale, and both cache validation and
-/// execution need it.
-struct Programs {
+/// Kernel memo shared by every executor — the sweep workers, the explorer
+/// and the report [`Runner`](crate::runner::Runner): the program text
+/// depends only on `(work, threads)` at a fixed scale, and cache
+/// validation, execution and the answer check all need it.
+pub(crate) struct Programs {
     scale: Scale,
     corpus: Option<Arc<Corpus>>,
     built: Mutex<HashMap<(WorkSpec, usize), Built>>,
 }
 
 impl Programs {
-    fn new(scale: Scale, corpus: Option<Arc<Corpus>>) -> Self {
+    pub(crate) fn new(scale: Scale, corpus: Option<Arc<Corpus>>) -> Self {
         Programs {
             scale,
             corpus,
             built: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Number of distinct `(work, threads)` kernels built so far.
+    pub(crate) fn len(&self) -> usize {
+        self.built.lock().expect("program memo poisoned").len()
+    }
+
+    /// The attached corpus's workload `name`, or why there is none.
+    fn corpus_kernel(&self, name: &str) -> Result<&CorpusWorkload, String> {
+        let corpus = self
+            .corpus
+            .as_deref()
+            .ok_or_else(|| format!("workload {name:?} needs a corpus (--corpus)"))?;
+        corpus.get(name).ok_or_else(|| {
+            let have: Vec<&str> = corpus.names().collect();
+            format!(
+                "no workload {name:?} in the corpus (have: {})",
+                have.join(", ")
+            )
+        })
     }
 
     /// Builds one program reference. Built-ins take the thread count the
@@ -744,20 +817,42 @@ impl Programs {
             WorkRef::Builtin(kind) => workload(*kind, self.scale)
                 .build(threads)
                 .map_err(|e| e.to_string()),
-            WorkRef::Corpus(name) => {
-                let corpus = self
-                    .corpus
-                    .as_deref()
-                    .ok_or_else(|| format!("workload {name:?} needs a corpus (--corpus)"))?;
-                let w = corpus
-                    .get(name)
-                    .ok_or_else(|| format!("no workload {name:?} in the corpus"))?;
-                w.build(self.scale).map_err(|e| e.to_string())
-            }
+            WorkRef::Corpus(name) => self
+                .corpus_kernel(name)?
+                .build(self.scale)
+                .map_err(|e| e.to_string()),
         }
     }
 
-    fn get(&self, work: &WorkSpec, threads: usize) -> Built {
+    /// Verifies one program's architectural answer against the memory
+    /// words of its (possibly thread-local) address space.
+    fn check_ref(&self, r: &WorkRef, words: &[u64]) -> Result<(), String> {
+        match r {
+            WorkRef::Builtin(kind) => workload(*kind, self.scale)
+                .check(words)
+                .map_err(|e| e.to_string()),
+            WorkRef::Corpus(name) => self.corpus_kernel(name)?.verify(words, self.scale),
+        }
+    }
+
+    /// Verifies the architectural answer of a finished run of `work`. A
+    /// mix verifies every tenant against its own address-space segment,
+    /// exactly as if it had run alone.
+    pub(crate) fn verify(&self, work: &WorkSpec, sim: &Simulator<'_>) -> Result<(), String> {
+        let words = sim.memory().words();
+        if !work.is_mix() {
+            return self.check_ref(&work.refs()[0], words);
+        }
+        for (tid, r) in work.refs().iter().enumerate() {
+            let (base, span) = sim.thread_segment(tid);
+            let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
+            self.check_ref(r, local)
+                .map_err(|e| format!("thread {tid}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    pub(crate) fn get(&self, work: &WorkSpec, threads: usize) -> Built {
         let mut built = self.built.lock().expect("program memo poisoned");
         if let Some(b) = built.get(&(work.clone(), threads)) {
             return Arc::clone(b);
@@ -856,46 +951,32 @@ pub fn plant_checkpoint(
     save_ckpt(out, &spec.id(), code_version, snap)
 }
 
-/// Loads the cached record for `spec` if it exists and its full key —
-/// code version, configuration hash, and program hash — matches what this
-/// invocation would produce. Anything else is treated as a miss.
-fn load_valid_cell(
-    out: &Path,
-    spec: &CellSpec,
+/// Loads the record stored at `path` if its full key — id, code version,
+/// configuration hash, and program hash — matches what this invocation
+/// would produce and its measurements are self-consistent (`ipc` is
+/// bit-equal to `committed / cycles`, as [`SimStats::ipc`] computes it).
+/// Anything else is treated as a miss, so the cell re-simulates. Every
+/// store namespace (`cells/`, `cells-warm/`) and every probe reads
+/// through here.
+pub(crate) fn load_record(
+    path: &Path,
+    id: &str,
     code_version: &str,
     config_hash: u64,
     program_hash: u64,
 ) -> Option<CellRecord> {
-    let text = fs::read_to_string(cell_path(out, &spec.id())).ok()?;
-    let rec = CellRecord::parse(&text)?;
-    (rec.id == spec.id()
+    let rec = CellRecord::parse(&fs::read_to_string(path).ok()?)?;
+    let ipc = if rec.cycles == 0 {
+        0.0
+    } else {
+        rec.committed as f64 / rec.cycles as f64
+    };
+    (rec.id == id
         && rec.code_version == code_version
         && rec.config_hash == config_hash
-        && rec.program_hash == program_hash)
-        .then_some(rec)
-}
-
-pub(crate) fn infeasible_record(
-    spec: &CellSpec,
-    code_version: &str,
-    config_hash: u64,
-    program_hash: u64,
-    reason: String,
-) -> CellRecord {
-    CellRecord {
-        id: spec.id(),
-        code_version: code_version.to_string(),
-        config_hash,
-        program_hash,
-        status: CellStatus::Infeasible,
-        cycles: 0,
-        committed: 0,
-        ipc: 0.0,
-        hit_rate: 0.0,
-        branch_accuracy: 0.0,
-        su_stalls: 0,
-        reason,
-    }
+        && rec.program_hash == program_hash
+        && rec.ipc.to_bits() == ipc.to_bits())
+    .then_some(rec)
 }
 
 /// How many cycles one cell runs before its super-job rotates to the next
@@ -968,7 +1049,7 @@ pub struct CellOutcome {
 pub struct Scheduler {
     out: PathBuf,
     opts: SweepOptions,
-    programs: Programs,
+    pub(crate) programs: Programs,
 }
 
 impl Scheduler {
@@ -1000,17 +1081,7 @@ impl Scheduler {
     pub fn resolve(&self, work: &WorkSpec) -> Result<(), String> {
         for r in work.refs() {
             if let WorkRef::Corpus(name) = r {
-                let corpus = self
-                    .opts
-                    .corpus
-                    .as_deref()
-                    .ok_or_else(|| format!("workload {name:?} needs a corpus (--corpus)"))?;
-                if corpus.get(name).is_none() {
-                    return Err(format!(
-                        "no workload {name:?} in the corpus (have: {})",
-                        corpus.names().collect::<Vec<_>>().join(", ")
-                    ));
-                }
+                self.programs.corpus_kernel(name)?;
             }
         }
         Ok(())
@@ -1055,9 +1126,10 @@ impl Scheduler {
     #[must_use]
     pub fn probe(&self, spec: &CellSpec) -> Option<CellRecord> {
         let (config_hash, program_hash, _) = self.identities(spec);
-        load_valid_cell(
-            &self.out,
-            spec,
+        let id = spec.id();
+        load_record(
+            &cell_path(&self.out, &id),
+            &id,
             &self.opts.code_version,
             config_hash,
             program_hash,
@@ -1124,27 +1196,6 @@ impl Scheduler {
         cell.sim.finished()
     }
 
-    /// Verifies one program's architectural answer against the memory
-    /// words of its (possibly thread-local) address space.
-    pub(crate) fn check_ref(&self, r: &WorkRef, words: &[u64]) -> Result<(), String> {
-        match r {
-            WorkRef::Builtin(kind) => workload(*kind, self.opts.scale)
-                .check(words)
-                .map_err(|e| e.to_string()),
-            WorkRef::Corpus(name) => {
-                let corpus = self
-                    .opts
-                    .corpus
-                    .as_deref()
-                    .ok_or_else(|| format!("workload {name:?} needs a corpus"))?;
-                let w = corpus
-                    .get(name)
-                    .ok_or_else(|| format!("no workload {name:?} in the corpus"))?;
-                w.verify(words, self.opts.scale)
-            }
-        }
-    }
-
     /// Drains a finished cell: finalizes statistics, verifies the
     /// architectural answer, drops the now-dead snapshot, and builds the
     /// record. Returns `(record, cycles simulated, cpi breakdown)`.
@@ -1160,35 +1211,17 @@ impl Scheduler {
             .sim
             .run()
             .unwrap_or_else(|e| panic!("{id}: finalize failed: {e}"));
-        let words = cell.sim.memory().words();
-        if cell.spec.work.is_mix() {
-            // Every tenant is verified against its own address-space
-            // segment, exactly as if it had run alone.
-            for (tid, r) in cell.spec.work.refs().iter().enumerate() {
-                let (base, span) = cell.sim.thread_segment(tid);
-                let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
-                self.check_ref(r, local)
-                    .unwrap_or_else(|e| panic!("{id}: thread {tid} wrong answer: {e}"));
-            }
-        } else {
-            self.check_ref(&cell.spec.work.refs()[0], words)
-                .unwrap_or_else(|e| panic!("{id}: wrong answer: {e}"));
-        }
+        self.programs
+            .verify(&cell.spec.work, &cell.sim)
+            .unwrap_or_else(|e| panic!("{id}: wrong answer: {e}"));
         let _ = fs::remove_file(ckpt_path(&self.out, id));
-        let rec = CellRecord {
-            id: cell.id.clone(),
-            code_version: self.opts.code_version.clone(),
-            config_hash: config_identity(&cell.config),
+        let rec = CellRecord::done(
+            cell.id.clone(),
+            &self.opts.code_version,
+            config_identity(&cell.config),
             program_hash,
-            status: CellStatus::Done,
-            cycles: stats.cycles,
-            committed: stats.committed_total(),
-            ipc: stats.ipc(),
-            hit_rate: stats.cache.hit_rate(),
-            branch_accuracy: stats.branches.accuracy(),
-            su_stalls: stats.su_stall_cycles,
-            reason: String::new(),
-        };
+            &stats,
+        );
         (
             rec,
             stats.cycles - cell.start_cycle,
@@ -1231,9 +1264,14 @@ impl Scheduler {
             debug_assert_eq!((&spec.work, spec.threads), (&first.work, first.threads));
             let config = spec.config();
             let config_hash = config_identity(&config);
-            if let Some(rec) =
-                load_valid_cell(out, spec, &opts.code_version, config_hash, program_hash)
-            {
+            let id = spec.id();
+            if let Some(rec) = load_record(
+                &cell_path(out, &id),
+                &id,
+                &opts.code_version,
+                config_hash,
+                program_hash,
+            ) {
                 done.push(CellOutcome {
                     spec: spec.clone(),
                     rec,
@@ -1246,8 +1284,8 @@ impl Scheduler {
             }
             let programs = match built.as_ref() {
                 Err(e) => {
-                    let rec = infeasible_record(
-                        spec,
+                    let rec = CellRecord::infeasible(
+                        id,
                         &opts.code_version,
                         config_hash,
                         0,
@@ -1260,7 +1298,6 @@ impl Scheduler {
             };
             // Uniform cells replicate one program across the partition; a
             // mix places one single-threaded program per thread.
-            let id = spec.id();
             let restored = load_ckpt(out, &id, &opts.code_version)
                 .and_then(|snap| Simulator::restore(config.clone(), &programs[..], &snap).ok());
             match restored {
@@ -1287,8 +1324,8 @@ impl Scheduler {
                         // Config rejections are holes in the space too: e.g.
                         // two fetch ports with a single resident thread.
                         Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
-                            let rec = infeasible_record(
-                                spec,
+                            let rec = CellRecord::infeasible(
+                                spec.id(),
                                 &opts.code_version,
                                 config_hash,
                                 program_hash,
@@ -1320,6 +1357,43 @@ impl Scheduler {
         }
         done
     }
+}
+
+/// The one worker pool: maps `f` over `items` on `workers` scoped threads
+/// (at least one, at most one per item) and returns the results in input
+/// order. Workers steal work — each repeatedly claims the next unclaimed
+/// index — so a worker stuck on one long item never strands the rest.
+///
+/// # Panics
+///
+/// Panics if `f` panics on any item.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.clamp(1, items.len().max(1)))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        mine.push((i, f(item)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Renders the merged results of a sweep: one JSON object per cell, sorted
@@ -1355,56 +1429,28 @@ pub fn run_sweep(grid: &Grid, out: &Path, opts: &SweepOptions) -> io::Result<Swe
         .batch
         .unwrap_or_else(|| default_batch(specs.len(), opts.workers));
     let jobs = plan_batches(&specs, batch);
-    let next = AtomicUsize::new(0);
-    let executed = AtomicUsize::new(0);
-    let cached = AtomicUsize::new(0);
-    let resumed = AtomicUsize::new(0);
-    let stepped = AtomicU64::new(0);
-    let workers = opts.workers.clamp(1, jobs.len().max(1));
-    // Work stealing: each worker repeatedly claims the next unclaimed
-    // super-job, so a worker stuck on one long batch never strands the
-    // queue.
-    let mut cells: Vec<(CellSpec, CellRecord)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, executed, cached, resumed, stepped) =
-                    (&next, &executed, &cached, &resumed, &stepped);
-                let (specs, jobs, sched) = (&specs, &jobs, &sched);
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        for o in sched.run_batch(job, specs, false, &mut |_| {}) {
-                            executed.fetch_add(usize::from(o.ran), Ordering::Relaxed);
-                            cached.fetch_add(usize::from(!o.ran), Ordering::Relaxed);
-                            resumed.fetch_add(usize::from(o.resumed), Ordering::Relaxed);
-                            stepped.fetch_add(o.stepped, Ordering::Relaxed);
-                            mine.push((o.spec, o.rec));
-                        }
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
+    let outcomes: Vec<CellOutcome> = par_map(&jobs, opts.workers, |job| {
+        sched.run_batch(job, &specs, false, &mut |_| {})
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let count = |f: fn(&CellOutcome) -> bool| outcomes.iter().filter(|o| f(o)).count();
+    let (executed, resumed) = (count(|o| o.ran), count(|o| o.resumed));
+    let infeasible = count(|o| o.rec.status == CellStatus::Infeasible);
+    let simulated_cycles = outcomes.iter().map(|o| o.stepped).sum();
+    let mut cells: Vec<(CellSpec, CellRecord)> =
+        outcomes.into_iter().map(|o| (o.spec, o.rec)).collect();
     cells.sort_by(|a, b| a.1.id.cmp(&b.1.id));
     let results_path = out.join("results.json");
     write_atomic(&results_path, results_json(&cells).as_bytes())?;
     Ok(SweepSummary {
         total: specs.len(),
-        executed: executed.into_inner(),
-        cached: cached.into_inner(),
-        infeasible: cells
-            .iter()
-            .filter(|(_, r)| r.status == CellStatus::Infeasible)
-            .count(),
-        resumed: resumed.into_inner(),
-        simulated_cycles: stepped.into_inner(),
+        executed,
+        cached: cells.len() - executed,
+        infeasible,
+        resumed,
+        simulated_cycles,
         batch,
         results_path,
     })
@@ -1606,14 +1652,62 @@ mod tests {
     fn malformed_records_fail_closed() {
         assert_eq!(CellRecord::parse(""), None);
         assert_eq!(CellRecord::parse("id=x\nstatus=done"), None);
-        let rec = infeasible_record(&spec(), "v", 1, 0, "no fit".into());
+        let rec = CellRecord::infeasible(spec().id(), "v", 1, 0, "no fit".into());
         let mangled = rec.to_lines().replace("status=infeasible", "status=maybe");
         assert_eq!(CellRecord::parse(&mangled), None);
+        let duplicated = format!("{}cycles=7\n", rec.to_lines());
+        assert_eq!(CellRecord::parse(&duplicated), None, "a repeated key");
+    }
+
+    #[test]
+    fn load_record_checks_the_key_and_the_ipc() {
+        let dir = std::env::temp_dir().join(format!("smt-load-record-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.cell");
+        let stats = SimStats {
+            cycles: 3239,
+            committed: vec![1000, 1001],
+            ..SimStats::default()
+        };
+        let rec = CellRecord::done("x".into(), "v", 1, 2, &stats);
+        fs::write(&path, rec.to_lines()).unwrap();
+        assert_eq!(load_record(&path, "x", "v", 1, 2), Some(rec.clone()));
+        assert_eq!(load_record(&path, "y", "v", 1, 2), None, "another id");
+        assert_eq!(load_record(&path, "x", "w", 1, 2), None, "another version");
+        assert_eq!(load_record(&path, "x", "v", 3, 2), None, "another config");
+        assert_eq!(load_record(&path, "x", "v", 1, 3), None, "another program");
+        let corrupt = rec.to_lines().replace("cycles=3239", "cycles=93239");
+        fs::write(&path, corrupt).unwrap();
+        assert_eq!(
+            load_record(&path, "x", "v", 1, 2),
+            None,
+            "ipc != committed/cycles"
+        );
+        let infeasible = CellRecord::infeasible("x".into(), "v", 1, 0, "no fit".into());
+        fs::write(&path, infeasible.to_lines()).unwrap();
+        assert_eq!(load_record(&path, "x", "v", 1, 0), Some(infeasible));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn par_map_returns_every_result_once_in_input_order() {
+        use std::sync::atomic::AtomicU64;
+        for (n, workers) in [(0, 3), (5, 0), (5, 1), (7, 3), (3, 8)] {
+            let items: Vec<u64> = (0..n).collect();
+            let calls = AtomicU64::new(0);
+            let out = par_map(&items, workers, |&x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                x * x
+            });
+            assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
+            assert_eq!(calls.into_inner(), n, "each item runs exactly once");
+        }
     }
 
     #[test]
     fn reasons_survive_equals_signs_and_newlines() {
-        let rec = infeasible_record(&spec(), "v", 1, 0, "window=21 < needed\nregs=32".into());
+        let rec =
+            CellRecord::infeasible(spec().id(), "v", 1, 0, "window=21 < needed\nregs=32".into());
         let parsed = CellRecord::parse(&rec.to_lines()).expect("round trip");
         assert_eq!(parsed.reason, "window=21 < needed regs=32");
     }

@@ -27,16 +27,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use smt_corpus::Corpus;
+use smt_experiments::flag_value;
 use smt_experiments::sweep::SweepOptions;
 use smt_serve::server::Server;
 use smt_workloads::Scale;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -17,16 +17,10 @@
 
 use std::process::ExitCode;
 
+use smt_experiments::flag_value;
 use smt_experiments::json::parse_value;
 use smt_serve::client::Client;
 use smt_serve::proto;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn connect(args: &[String]) -> Client {
     let addr = flag_value(args, "--addr").expect("--addr <host:port> is required");

@@ -125,6 +125,45 @@ fn stale_cache_fails_closed_per_cell() {
 }
 
 #[test]
+fn corrupted_measurements_fail_closed() {
+    let grid = small_grid();
+    let dir = scratch("corrupt");
+    run_sweep(&grid, &dir, &opts()).expect("sweep runs");
+    let reference = results(&dir);
+
+    // A flipped cycle count keeps every key field intact; only the
+    // record's own `ipc == committed / cycles` exposes it. That cell — and
+    // only that cell — must be re-simulated, and the merged results must
+    // come out byte-identical to the clean run.
+    let victim = dir.join("cells").join("sieve-trr-t4-su32-sa.cell");
+    let clean = fs::read_to_string(&victim).expect("cell file exists");
+    let tampered: String = clean
+        .lines()
+        .map(|l| match l.strip_prefix("cycles=") {
+            Some(cycles) => format!("cycles=9{cycles}\n"),
+            None => format!("{l}\n"),
+        })
+        .collect();
+    assert_ne!(tampered, clean);
+    fs::write(&victim, tampered).expect("tamper cell file");
+    let summary = run_sweep(&grid, &dir, &opts()).expect("sweep reruns");
+    assert_eq!(summary.executed, 1, "only the corrupted cell is re-run");
+    assert_eq!(summary.cached, 3);
+    assert_eq!(results(&dir), reference);
+
+    // A record that repeats a key is equally untrusted, whichever copy of
+    // the key a parser would believe — even one no consistency check
+    // covers.
+    fs::write(&victim, format!("{clean}hit_rate=0.0\n")).expect("duplicate a key");
+    let summary = run_sweep(&grid, &dir, &opts()).expect("sweep reruns");
+    assert_eq!(
+        summary.executed, 1,
+        "a record with a repeated key is re-run"
+    );
+    assert_eq!(results(&dir), reference);
+}
+
+#[test]
 fn mid_flight_checkpoints_resume_instead_of_restarting() {
     let spec = CellSpec {
         work: WorkloadKind::Sieve.into(),
