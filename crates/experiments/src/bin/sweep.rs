@@ -8,9 +8,8 @@
 //! from their last snapshot, and the merged `results.json` comes out
 //! byte-identical to an uninterrupted run.
 //!
-//! Workers execute super-jobs of up to `--batch` cells sharing one built
-//! program (default: planner-sized from the grid and worker count);
-//! batching only affects scheduling, never results.
+//! `--workers` threads (default: every core) steal cells one at a time off
+//! the grid; the worker count only affects scheduling, never results.
 //!
 //! ```text
 //! cargo run --release -p smt-experiments --bin sweep -- --out target/sweep
@@ -78,13 +77,6 @@ fn main() {
         let n: u64 = n.parse().expect("--checkpoint-every takes a cycle count");
         assert!(n > 0, "--checkpoint-every takes a positive cycle count");
         opts.checkpoint_every = Some(n);
-    }
-    // Cells per super-job; unset, the planner sizes jobs from the grid and
-    // worker count. `--batch 1` forces strictly per-cell execution.
-    if let Some(b) = flag_value(&args, "--batch") {
-        let b: usize = b.parse().expect("--batch takes a positive cell count");
-        assert!(b > 0, "--batch takes a positive cell count");
-        opts.batch = Some(b);
     }
     // Normally the crate version; overridable so the stale-cache path can
     // be exercised from the command line.
@@ -163,12 +155,11 @@ fn main() {
     );
     println!(
         "sweep: {} cells, {} simulated cycles in {secs:.2}s = {:.2} Mcycles/s \
-         ({} cache hits, batch={})",
+         ({} cache hits)",
         summary.total,
         summary.simulated_cycles,
         summary.simulated_cycles as f64 / secs / 1.0e6,
         summary.cached,
-        summary.batch,
     );
     println!("sweep: results at {}", summary.results_path.display());
 }

@@ -36,21 +36,19 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::{fmt, fs};
 
-use smt_checkpoint::{Reader, Writer};
 use smt_core::config::{defaults, warm};
-use smt_core::{
-    program_identity, FetchPolicy, PredictorKind, SimConfig, SimError, Simulator, Snapshot,
-};
+use smt_core::{program_identity, FetchPolicy, PredictorKind, SimConfig, Simulator, Snapshot};
 use smt_isa::Program;
 use smt_mem::CacheKind;
 use smt_search::{Axis, Evaluation, Objectives, SearchOutcome, SearchParams};
 
 use crate::json::object_to_json;
 use crate::sweep::{
-    load_record, write_atomic, CellRecord, CellSpec, CellStatus, Scheduler, WorkSpec,
+    load_snapshot, save_snapshot, write_atomic, CellRecord, CellSpec, CellStatus, Namespace,
+    Scheduler, WorkSpec,
 };
 use crate::Cell;
 
@@ -274,46 +272,6 @@ pub fn hardware_cost(spec: &CellSpec) -> f64 {
     units as f64
 }
 
-fn warm_cells_dir(out: &Path) -> PathBuf {
-    out.join("cells-warm")
-}
-
-fn warm_snap_dir(out: &Path) -> PathBuf {
-    out.join("warm")
-}
-
-/// Persists a warm snapshot with the same framing discipline as the
-/// mid-flight cell checkpoints: code version first (warm state does not
-/// survive code changes), then the warmup length it was taken after,
-/// then the self-validating snapshot wire format.
-fn save_warm(path: &Path, code_version: &str, warmup: u64, snap: &Snapshot) -> io::Result<()> {
-    let mut w = Writer::new();
-    w.put_bytes(code_version.as_bytes());
-    w.put_u64(warmup);
-    w.put_bytes(&snap.to_bytes());
-    write_atomic(path, &w.into_bytes())
-}
-
-/// Loads a persisted warm snapshot; any mismatch or parse failure means
-/// "no snapshot" and the caller regenerates (fail closed).
-fn load_warm(path: &Path, code_version: &str, warmup: u64) -> Option<Snapshot> {
-    let bytes = fs::read(path).ok()?;
-    let mut r = Reader::new(&bytes);
-    if r.take_bytes().ok()? != code_version.as_bytes() || r.take_u64().ok()? != warmup {
-        return None;
-    }
-    let snap = Snapshot::from_bytes(r.take_bytes().ok()?).ok()?;
-    r.finish().ok()?;
-    snap.warm.is_some().then_some(snap)
-}
-
-/// The per-thread program-identity vector a snapshot for `programs`
-/// must carry (mirrors the simulator's own identity shape: one element
-/// for a uniform machine, one per thread for a mix).
-fn expected_identities(programs: &[Program]) -> Vec<u64> {
-    programs.iter().map(program_identity).collect()
-}
-
 /// Stateful evaluator over one search space: resolves points to cell
 /// records — cache-first against the store, warm-forked or cold —
 /// and remembers every record it produced for the frontier report.
@@ -336,8 +294,8 @@ impl<'a> Explorer<'a> {
     /// Fails on filesystem errors creating the `cells-warm`/`warm`
     /// subdirectories.
     pub fn new(sched: &'a Scheduler, space: SearchSpace, mode: EvalMode) -> io::Result<Self> {
-        fs::create_dir_all(warm_cells_dir(sched.out()))?;
-        fs::create_dir_all(warm_snap_dir(sched.out()))?;
+        fs::create_dir_all(sched.out().join("cells-warm"))?;
+        fs::create_dir_all(sched.out().join("warm"))?;
         Ok(Explorer {
             sched,
             space,
@@ -363,7 +321,7 @@ impl<'a> Explorer<'a> {
     pub fn objectives(&mut self, point: &[usize]) -> Objectives {
         let spec = self.space.spec_at(point);
         let rec = match self.mode {
-            EvalMode::Full => self.full_record(&spec),
+            EvalMode::Full => self.sched.run_cell(&spec, false, &mut |_| {}).rec,
             EvalMode::Warm { warmup } => self.warm_record(&spec, warmup),
         };
         let o = Objectives {
@@ -382,104 +340,57 @@ impl<'a> Explorer<'a> {
         self.records.get(point)
     }
 
-    fn full_record(&self, spec: &CellSpec) -> CellRecord {
-        self.sched.run_cell(spec, false, &mut |_| {}).rec
-    }
-
-    /// One warm-forked measurement, cache-first against the warm
-    /// namespace under the same full key as the exact store.
+    /// One warm-forked measurement: the cell producer in the warm
+    /// namespace, forking from the shared warm snapshot.
     fn warm_record(&mut self, spec: &CellSpec, warmup: u64) -> CellRecord {
-        let wid = format!("{}@w{warmup}", spec.id());
-        let path = warm_cells_dir(self.sched.out()).join(format!("{wid}.cell"));
-        let code_version = self.sched.opts().code_version.clone();
-        let (config_hash, program_hash, built) = self.sched.identities(spec);
-        if let Some(rec) = load_record(&path, &wid, &code_version, config_hash, program_hash) {
-            return rec;
-        }
-        let infeasible = |program_hash, reason| {
-            CellRecord::infeasible(
-                wid.clone(),
-                &code_version,
-                config_hash,
-                program_hash,
-                reason,
-            )
-        };
-        let rec = match built.as_ref() {
-            Err(e) => infeasible(
-                0,
-                format!("kernel does not lower at {} threads: {e}", spec.threads),
-            ),
-            Ok(programs) => match self.shared_warm(programs, warmup) {
+        let (sched, space, memo) = (self.sched, &self.space, &mut self.warm_snap);
+        let mut warm = |programs: &[Program]| {
+            shared_warm(sched, space, memo, programs, warmup)
                 // The kernel is too short (or otherwise unable) to warm:
-                // fall back to the exact cold run, re-recorded under the
-                // warm id so the trajectory stays self-contained. The
-                // fallback reason travels in the record.
-                Err(why) => CellRecord {
-                    id: wid.clone(),
-                    reason: format!("warm fallback: {why}"),
-                    ..self.full_record(spec)
-                },
-                Ok(snap) => match Simulator::fork_warm(spec.config(), &programs[..], &snap) {
-                    Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
-                        infeasible(program_hash, e.to_string())
-                    }
-                    Err(e) => panic!("{wid}: warm fork rejected: {e}"),
-                    Ok(mut sim) => {
-                        let stats = sim
-                            .run()
-                            .unwrap_or_else(|e| panic!("{wid}: measurement window failed: {e}"));
-                        // The warm path approximates *measurement*, never
-                        // correctness.
-                        self.sched
-                            .programs
-                            .verify(&spec.work, &sim)
-                            .unwrap_or_else(|e| panic!("{wid}: wrong answer after warm fork: {e}"));
-                        // Measurement-window numbers only: the fork starts
-                        // its cycle and stat counters at zero, so these
-                        // exclude the warmup.
-                        CellRecord::done(
-                            wid.clone(),
-                            &code_version,
-                            config_hash,
-                            program_hash,
-                            &stats,
-                        )
-                    }
-                },
-            },
+                // the cell runs cold, recorded under its warm id so the
+                // trajectory stays self-contained, and says why.
+                .map_err(|why| format!("warm fallback: {why}"))
         };
-        write_atomic(&path, rec.to_lines().as_bytes())
-            .unwrap_or_else(|e| panic!("{wid}: cannot persist warm cell: {e}"));
-        rec
+        let ns = Namespace::Warm {
+            warmup,
+            warm: &mut warm,
+        };
+        sched.produce(spec, ns, false, &mut |_| {}).rec
     }
+}
 
-    /// The shared warm snapshot for this space's `(work, threads)`,
-    /// memoized in memory and on disk.
-    fn shared_warm(&mut self, programs: &[Program], warmup: u64) -> Result<Snapshot, String> {
-        if let Some(snap) = &self.warm_snap {
-            return Ok(snap.clone());
-        }
-        let code_version = &self.sched.opts().code_version;
-        let path = warm_snap_dir(self.sched.out()).join(format!(
-            "{}-t{}-w{warmup}.warm",
-            self.space.work.id_part(),
-            self.space.threads
-        ));
-        let expected = expected_identities(programs);
-        let snap =
-            match load_warm(&path, code_version, warmup).filter(|s| s.program_hashes == expected) {
-                Some(snap) => snap,
-                None => {
-                    let snap = make_warm(programs, self.space.threads, warmup)?;
-                    save_warm(&path, code_version, warmup, &snap)
-                        .map_err(|e| format!("cannot persist warm snapshot: {e}"))?;
-                    snap
-                }
-            };
-        self.warm_snap = Some(snap.clone());
-        Ok(snap)
+/// The shared warm snapshot for `space`'s `(work, threads)`, memoized in
+/// `memo` and on disk.
+fn shared_warm(
+    sched: &Scheduler,
+    space: &SearchSpace,
+    memo: &mut Option<Snapshot>,
+    programs: &[Program],
+    warmup: u64,
+) -> Result<Snapshot, String> {
+    if let Some(snap) = memo {
+        return Ok(snap.clone());
     }
+    let code_version = &sched.opts().code_version;
+    let path = sched.out().join("warm").join(format!(
+        "{}-t{}-w{warmup}.warm",
+        space.work.id_part(),
+        space.threads
+    ));
+    let expected: Vec<u64> = programs.iter().map(program_identity).collect();
+    let snap = match load_snapshot(&path, code_version)
+        .filter(|s| s.warm.is_some() && s.program_hashes == expected)
+    {
+        Some(snap) => snap,
+        None => {
+            let snap = make_warm(programs, space.threads, warmup)?;
+            save_snapshot(&path, code_version, &snap)
+                .map_err(|e| format!("cannot persist warm snapshot: {e}"))?;
+            snap
+        }
+    };
+    *memo = Some(snap.clone());
+    Ok(snap)
 }
 
 /// Builds the shared warm checkpoint: canonical machine, `warmup`
@@ -686,9 +597,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("smt-warm-io-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("x.warm");
-        assert!(load_warm(&path, "v", 10).is_none(), "absent file");
+        assert!(load_snapshot(&path, "v").is_none(), "absent file");
         fs::write(&path, b"garbage").unwrap();
-        assert!(load_warm(&path, "v", 10).is_none(), "unparseable file");
+        assert!(load_snapshot(&path, "v").is_none(), "unparseable file");
         let _ = fs::remove_dir_all(&dir);
     }
 }

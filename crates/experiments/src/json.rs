@@ -19,7 +19,7 @@
 //! `str::parse`, so a float that travels `write → parse → write` is
 //! byte-identical — the property the sweep server relies on to serve
 //! cached cells that re-serialize into `results.json` exactly as a local
-//! batch run would.
+//! `sweep` run would.
 
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};

@@ -4,8 +4,8 @@
 //! True-RR default appears in nearly every one), so the runner memoizes
 //! each demanded [`Job`]. It is a thin memo over the sweep engine's
 //! executor pieces: kernels come from the shared program memo, prewarming
-//! runs on the one worker pool ([`par_map`]), and every run's answer goes
-//! through the same check as a sweep cell before it is memoized — a
+//! runs on the one worker pool ([`par_map`]), and every run goes through
+//! the same run-and-verify loop as a sweep cell before it is memoized — a
 //! figure can never be generated from a wrong-answer simulation.
 //!
 //! # Record, prewarm, generate
@@ -24,9 +24,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use smt_core::{CommitPolicy, FetchPolicy, Observers, SimConfig, SimStats, Simulator};
+use smt_core::{CommitPolicy, FetchPolicy, SimConfig, SimStats, Simulator};
 use smt_mem::CacheKind;
-use smt_trace::{CpiBreakdown, CpiStack, SlotCause};
+use smt_trace::{CpiBreakdown, SlotCause};
 use smt_uarch::FuConfig;
 use smt_workloads::{Scale, WorkloadKind};
 
@@ -115,46 +115,31 @@ pub enum Job {
 /// peak RSS down.
 type Measured = Box<(SimStats, Option<CpiBreakdown>)>;
 
-/// Builds, runs, and verifies one job's simulation, with a [`CpiStack`]
-/// attached only for [`Job::Cpi`]. Traced runs are cycle-for-cycle
-/// identical to untraced ones (the golden tests prove it).
+/// Builds, runs, and verifies one job's simulation through the one run
+/// loop ([`Programs::run_and_verify`]), with a CPI stack attached only for
+/// [`Job::Cpi`]. Traced runs are cycle-for-cycle identical to untraced
+/// ones (the golden tests prove it).
 ///
 /// # Panics
 ///
-/// Panics if the simulation errors, its architectural result fails the
-/// workload checker, or a CPI stack does not sum to `block_size × cycles`
-/// — a figure must never be built from a broken run.
+/// Panics if the kernel does not lower, the simulation errors, its
+/// architectural result fails the workload checker, or a CPI stack misses
+/// a slot — a figure must never be built from a broken run.
 fn execute(programs: &Programs, job: &Job) -> Measured {
     let (kind, config) = match job {
         Job::Key(key) | Job::Cpi(key) => (key.kind, key.to_config()),
         Job::Config(kind, config) => (*kind, config.as_ref().clone()),
     };
     let work = WorkSpec::uniform(kind);
-    let built = programs.get(&work, config.threads);
+    let name = format!("{work} under {config:?}");
+    let (built, _) = programs.get(&work, config.threads);
     let program = built
         .as_ref()
         .as_ref()
         .unwrap_or_else(|e| panic!("{work} at {} threads: {e}", config.threads));
-    let mut sim = Simulator::new(config.clone(), &program[..]);
-    let mut cpi = matches!(job, Job::Cpi(_)).then(|| CpiStack::new(config.block_size as u32));
-    let stats = match cpi.as_mut() {
-        Some(stack) => sim.run_with(Observers::trace(stack)),
-        None => sim.run(),
-    }
-    .unwrap_or_else(|e| panic!("{work} under {config:?}: {e}"));
-    programs
-        .verify(&work, &sim)
-        .unwrap_or_else(|e| panic!("{work} under {config:?}: wrong answer: {e}"));
-    let breakdown = cpi.map(|stack| {
-        let breakdown = stack.finish();
-        assert_eq!(
-            breakdown.total_slots(),
-            config.block_size as u64 * stats.cycles,
-            "{work}: CPI stack must account every slot"
-        );
-        breakdown
-    });
-    Box::new((stats, breakdown))
+    let mut sim = Simulator::new(config, &program[..]);
+    let cpi = matches!(job, Job::Cpi(_));
+    Box::new(programs.run_and_verify(&work, &name, &mut sim, cpi, None, &mut |_| {}))
 }
 
 /// The placeholder handed out while recording: one committed slot in one

@@ -22,23 +22,22 @@
 //! ([`SimError::RegisterWindow`]), are recorded as `infeasible` rather than
 //! aborting the sweep — the design space legitimately contains such points.
 //!
-//! Execution is *batched*: the flat cell list is planned into super-jobs of
-//! up to `batch` cells that share one `(workload, threads)` pair — and
-//! therefore one predecoded [`Program`] — and each worker interleaves the
-//! `step()` loops of its super-job's cells in fixed quanta. Workers steal
-//! whole super-jobs, so the grid costs one program build and one queue
-//! claim per group instead of per cell. Batching is pure scheduling: every
-//! cell still simulates on its own `Simulator`, so `results.json` and every
-//! cache entry are byte-identical whatever `batch` is.
+//! Every simulation in the crate — a sweep cell, a served cell, a
+//! warm-forked search point, a report figure's run — goes through one
+//! loop: [`Programs::run_and_verify`] steps the machine in
+//! [`TICK_QUANTUM`]-cycle quanta, then verifies its architectural answer.
+//! Cells add one producer around it ([`Scheduler::run_cell`]): probe the
+//! store, check lowering and feasibility, start the machine (restored from
+//! `ckpt/`, cold, or forked from a warm snapshot), run, persist.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::{fmt, fs};
 
-use smt_checkpoint::{Reader, Writer};
+use smt_checkpoint::{fnv1a, Reader, Writer};
 use smt_core::config::defaults;
 use smt_core::{
     config_identity, program_identity, FetchPolicy, Observers, PredictorKind, SimConfig, SimError,
@@ -573,15 +572,15 @@ impl CellRecord {
         }
     }
 
-    /// Serializes the record as `key=value` lines (the cell-cache format;
-    /// the repository has no JSON *parser*, so the cache uses a format that
-    /// is trivial to read back).
+    /// Serializes the record as `key=value` lines (the cell-cache format:
+    /// flat, line-oriented, and human-greppable in a store directory),
+    /// closed by a `checksum=` line — the FNV-1a of every line above it.
     #[must_use]
     pub fn to_lines(&self) -> String {
         // Floats use `{:?}` (shortest round-trip form): a parsed-back value
         // is bit-equal to the original, so a cache hit serializes into
         // results.json byte-identically to a fresh run.
-        format!(
+        let body = format!(
             "id={}\ncode_version={}\nconfig_hash={:#018x}\nprogram_hash={:#018x}\n\
              status={}\ncycles={}\ncommitted={}\nipc={:?}\nhit_rate={:?}\n\
              branch_accuracy={:?}\nsu_stalls={}\nreason={}\n",
@@ -597,42 +596,42 @@ impl CellRecord {
             self.branch_accuracy,
             self.su_stalls,
             self.reason.replace('\n', " "),
-        )
+        );
+        let checksum = fnv1a(body.as_bytes());
+        format!("{body}checksum={checksum:#018x}\n")
     }
 
-    /// Parses a record back from its `key=value` form. Any missing,
-    /// malformed or repeated field yields `None` — the caller treats the
-    /// record as absent and re-runs the cell (fail closed).
+    /// Parses a record back from its `key=value` form. A missing or
+    /// mismatched checksum, or any missing, malformed, repeated or
+    /// reordered field, yields `None` — the caller treats the record as
+    /// absent and re-runs the cell (fail closed).
     #[must_use]
     pub fn parse(text: &str) -> Option<Self> {
-        let mut kv = HashMap::new();
-        for line in text.lines() {
-            let (k, v) = line.split_once('=')?;
-            if kv.insert(k, v).is_some() {
-                return None;
-            }
+        let (body, checksum) = text.rsplit_once("checksum=0x")?;
+        let checksum = u64::from_str_radix(checksum.strip_suffix('\n')?, 16).ok()?;
+        if !body.ends_with('\n') || checksum != fnv1a(body.as_bytes()) {
+            return None;
         }
-        let hex = |k: &str| {
-            kv.get(k)
-                .and_then(|v| v.strip_prefix("0x"))
-                .and_then(|v| u64::from_str_radix(v, 16).ok())
+        // The fields, in the one order `to_lines` writes them: a missing,
+        // repeated or reordered key fails the match.
+        let mut lines = body.lines();
+        let mut field = |key: &str| lines.next()?.strip_prefix(key)?.strip_prefix('=');
+        let hex = |v: &str| u64::from_str_radix(v.strip_prefix("0x")?, 16).ok();
+        let rec = CellRecord {
+            id: field("id")?.to_string(),
+            code_version: field("code_version")?.to_string(),
+            config_hash: hex(field("config_hash")?)?,
+            program_hash: hex(field("program_hash")?)?,
+            status: CellStatus::parse(field("status")?)?,
+            cycles: field("cycles")?.parse().ok()?,
+            committed: field("committed")?.parse().ok()?,
+            ipc: field("ipc")?.parse().ok()?,
+            hit_rate: field("hit_rate")?.parse().ok()?,
+            branch_accuracy: field("branch_accuracy")?.parse().ok()?,
+            su_stalls: field("su_stalls")?.parse().ok()?,
+            reason: field("reason")?.to_string(),
         };
-        let int = |k: &str| kv.get(k).and_then(|v| v.parse::<u64>().ok());
-        let float = |k: &str| kv.get(k).and_then(|v| v.parse::<f64>().ok());
-        Some(CellRecord {
-            id: (*kv.get("id")?).to_string(),
-            code_version: (*kv.get("code_version")?).to_string(),
-            config_hash: hex("config_hash")?,
-            program_hash: hex("program_hash")?,
-            status: CellStatus::parse(kv.get("status")?)?,
-            cycles: int("cycles")?,
-            committed: int("committed")?,
-            ipc: float("ipc")?,
-            hit_rate: float("hit_rate")?,
-            branch_accuracy: float("branch_accuracy")?,
-            su_stalls: int("su_stalls")?,
-            reason: (*kv.get("reason")?).to_string(),
-        })
+        lines.next().is_none().then_some(rec)
     }
 
     /// The record as a JSON object (one element of `results.json`).
@@ -683,9 +682,6 @@ pub struct SweepOptions {
     /// are invalid. Defaults to this crate's version; tests override it to
     /// prove stale caches fail closed.
     pub code_version: String,
-    /// Cells per super-job; `None` lets the planner pick (see
-    /// [`default_batch`]). `Some(1)` recovers strictly per-cell execution.
-    pub batch: Option<usize>,
     /// The on-disk workload corpus, when one is attached. Cells that
     /// reference a corpus kernel by name resolve against this; without
     /// one, such cells record as infeasible with a "no corpus" reason.
@@ -699,7 +695,6 @@ impl Default for SweepOptions {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             checkpoint_every: None,
             code_version: env!("CARGO_PKG_VERSION").to_string(),
-            batch: None,
             corpus: None,
         }
     }
@@ -721,54 +716,18 @@ pub struct SweepSummary {
     /// Cycles stepped by this invocation (cache hits contribute nothing;
     /// a resumed cell counts only the cycles it actually re-simulated).
     pub simulated_cycles: u64,
-    /// Cells-per-super-job the run actually used (the `--batch` value or
-    /// the planner's choice).
-    pub batch: usize,
     /// Where the merged results were written.
     pub results_path: PathBuf,
-}
-
-/// Planner default for cells per super-job: aim for at least four
-/// super-jobs per worker so work stealing can still balance a skewed grid,
-/// while letting big grids amortize one program build and queue claim over
-/// many cells. [`plan_batches`] additionally never mixes programs within a
-/// job, so the effective size is capped by each `(workload, threads)`
-/// group.
-#[must_use]
-pub fn default_batch(cells: usize, workers: usize) -> usize {
-    (cells / (workers.max(1) * 4)).max(1)
-}
-
-/// Plans the flat cell list into super-jobs: cells are grouped by
-/// `(workload, threads)` — the key of [`Programs`], so every cell of a job
-/// shares one built kernel — in first-appearance order, and each group is
-/// chunked into jobs of at most `batch` cells. Returns indices into
-/// `specs`; every index appears exactly once.
-#[must_use]
-pub fn plan_batches(specs: &[CellSpec], batch: usize) -> Vec<Vec<usize>> {
-    let batch = batch.max(1);
-    let mut groups: Vec<((WorkSpec, usize), Vec<usize>)> = Vec::new();
-    for (i, s) in specs.iter().enumerate() {
-        let key = (s.work.clone(), s.threads);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => v.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    groups
-        .into_iter()
-        .flat_map(|(_, v)| {
-            v.chunks(batch)
-                .map(<[usize]>::to_vec)
-                .collect::<Vec<Vec<usize>>>()
-        })
-        .collect()
 }
 
 /// The built kernel(s) of a cell — one program for a uniform workload,
 /// one per thread for a mix — or why lowering failed at this thread
 /// count.
 pub(crate) type Built = Arc<Result<Vec<Program>, String>>;
+
+/// One kernel memo entry: the built kernel(s) and their identity hash,
+/// filled once by the first caller.
+type Slot = Arc<OnceLock<(Built, u64)>>;
 
 /// Kernel memo shared by every executor — the sweep workers, the explorer
 /// and the report [`Runner`](crate::runner::Runner): the program text
@@ -777,7 +736,7 @@ pub(crate) type Built = Arc<Result<Vec<Program>, String>>;
 pub(crate) struct Programs {
     scale: Scale,
     corpus: Option<Arc<Corpus>>,
-    built: Mutex<HashMap<(WorkSpec, usize), Built>>,
+    built: Mutex<HashMap<(WorkSpec, usize), Slot>>,
 }
 
 impl Programs {
@@ -838,7 +797,7 @@ impl Programs {
     /// Verifies the architectural answer of a finished run of `work`. A
     /// mix verifies every tenant against its own address-space segment,
     /// exactly as if it had run alone.
-    pub(crate) fn verify(&self, work: &WorkSpec, sim: &Simulator<'_>) -> Result<(), String> {
+    fn verify(&self, work: &WorkSpec, sim: &Simulator<'_>) -> Result<(), String> {
         let words = sim.memory().words();
         if !work.is_mix() {
             return self.check_ref(&work.refs()[0], words);
@@ -852,11 +811,88 @@ impl Programs {
         Ok(())
     }
 
-    pub(crate) fn get(&self, work: &WorkSpec, threads: usize) -> Built {
-        let mut built = self.built.lock().expect("program memo poisoned");
-        if let Some(b) = built.get(&(work.clone(), threads)) {
-            return Arc::clone(b);
+    /// The one run loop under every simulation: steps `sim` to the end in
+    /// quanta that stop at every multiple of [`TICK_QUANTUM`] and of
+    /// `pause_every`, calling `on_pause` at each stop and checking the
+    /// watchdog; then finalizes the statistics and verifies `work`'s
+    /// architectural answer. With `cpi`, a [`CpiStack`] as wide as the
+    /// machine's fetch bandwidth observes every cycle and must account
+    /// every slot. `name` labels the panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation faults or exceeds its cycle watchdog, its
+    /// answer is wrong, or the CPI stack misses a slot — no result may
+    /// come from a broken run.
+    pub(crate) fn run_and_verify(
+        &self,
+        work: &WorkSpec,
+        name: &str,
+        sim: &mut Simulator<'_>,
+        cpi: bool,
+        pause_every: Option<u64>,
+        on_pause: &mut dyn FnMut(&Simulator<'_>),
+    ) -> (SimStats, Option<CpiBreakdown>) {
+        let width = sim.config().trace_shape().width;
+        let max = sim.config().max_cycles;
+        let mut stack = cpi.then(|| CpiStack::new(width));
+        while !sim.finished() {
+            let cycle = sim.cycle();
+            assert!(cycle < max, "{name}: watchdog: exceeded {max} cycles");
+            let next = |n: u64| (cycle / n + 1) * n;
+            let stop = pause_every
+                .map_or(u64::MAX, next)
+                .min(next(TICK_QUANTUM))
+                .min(max);
+            while sim.cycle() < stop && !sim.finished() {
+                match stack.as_mut() {
+                    Some(stack) => sim.step_with(Observers::trace(stack)),
+                    None => sim.step(),
+                }
+                .unwrap_or_else(|e| panic!("{name}: simulation failed: {e}"));
+            }
+            on_pause(sim);
         }
+        // The machine is drained; `run` performs no steps and finalizes
+        // the statistics (cache counters, FU busy cycles).
+        let stats = sim
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: finalize failed: {e}"));
+        self.verify(work, sim)
+            .unwrap_or_else(|e| panic!("{name}: wrong answer: {e}"));
+        let breakdown = stack.map(|stack| {
+            let breakdown = stack.finish();
+            assert_eq!(
+                breakdown.total_slots(),
+                u64::from(width) * stats.cycles,
+                "{name}: CPI stack must account every slot"
+            );
+            breakdown
+        });
+        (stats, breakdown)
+    }
+
+    /// The built kernel(s) of `work` at `threads`, and the identity hash a
+    /// cell record of them carries (0 when lowering fails, exactly as an
+    /// infeasible record is written). Both are memoized: hashing a
+    /// paper-scale program costs more than probing a cached cell.
+    pub(crate) fn get(&self, work: &WorkSpec, threads: usize) -> (Built, u64) {
+        // The memo's lock covers the lookup only: distinct kernels build in
+        // parallel, and a kernel's later callers wait for its first.
+        let slot = {
+            let mut memo = self.built.lock().expect("program memo poisoned");
+            let slot = memo.entry((work.clone(), threads)).or_default();
+            if let Some((b, hash)) = slot.get() {
+                return (Arc::clone(b), *hash);
+            }
+            Arc::clone(slot)
+        };
+        let (b, hash) = slot.get_or_init(|| self.build(work, threads));
+        (Arc::clone(b), *hash)
+    }
+
+    /// Builds the kernel(s) of `work` at `threads` and hashes them.
+    fn build(&self, work: &WorkSpec, threads: usize) -> (Built, u64) {
         let result = if work.is_mix() {
             if work.refs().len() == threads {
                 // Each mix slot is a single-threaded tenant of its own
@@ -874,9 +910,19 @@ impl Programs {
         } else {
             self.build_ref(&work.refs()[0], threads).map(|p| vec![p])
         };
-        let b: Built = Arc::new(result);
-        built.insert((work.clone(), threads), Arc::clone(&b));
-        b
+        let hash = match &result {
+            // A uniform cell hashes its single program exactly as before
+            // mixes existed (existing caches stay valid); a mix hashes
+            // the ordered vector of per-program identities.
+            Ok(ps) => match ps.as_slice() {
+                [p] => program_identity(p),
+                ps => smt_checkpoint::stable_hash(
+                    &ps.iter().map(program_identity).collect::<Vec<u64>>(),
+                ),
+            },
+            Err(_) => 0,
+        };
+        (Arc::new(result), hash)
     }
 }
 
@@ -900,32 +946,25 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-fn cell_path(out: &Path, id: &str) -> PathBuf {
-    out.join("cells").join(format!("{id}.cell"))
-}
-
-fn ckpt_path(out: &Path, id: &str) -> PathBuf {
-    out.join("ckpt").join(format!("{id}.ckpt"))
-}
-
-/// Persists one in-flight snapshot: the code version (snapshots do not
-/// survive code changes) followed by the snapshot wire format, which
-/// carries its own magic, version, identity hashes, and checksum.
-fn save_ckpt(out: &Path, id: &str, code_version: &str, snap: &Snapshot) -> io::Result<()> {
+/// Persists a snapshot framed by the code version it was taken under
+/// (snapshots do not survive code changes), followed by the snapshot wire
+/// format, which carries its own magic, version, identity hashes, and
+/// checksum. Mid-flight cell checkpoints (`ckpt/`) and the explorer's
+/// shared warm snapshots (`warm/`) both use this framing.
+pub(crate) fn save_snapshot(path: &Path, code_version: &str, snap: &Snapshot) -> io::Result<()> {
     let mut w = Writer::new();
     w.put_bytes(code_version.as_bytes());
     w.put_bytes(&snap.to_bytes());
-    write_atomic(&ckpt_path(out, id), &w.into_bytes())
+    write_atomic(path, &w.into_bytes())
 }
 
-/// Loads a cell's in-flight snapshot if one exists and was written under
-/// the same code version. Any parse failure means "no checkpoint" — the
-/// cell just starts from cycle 0, which is always correct.
-fn load_ckpt(out: &Path, id: &str, code_version: &str) -> Option<Snapshot> {
-    let bytes = fs::read(ckpt_path(out, id)).ok()?;
+/// Loads a snapshot [`save_snapshot`] wrote under the same code version.
+/// Any mismatch or parse failure means "no snapshot" — the caller starts
+/// over, which is always correct.
+pub(crate) fn load_snapshot(path: &Path, code_version: &str) -> Option<Snapshot> {
+    let bytes = fs::read(path).ok()?;
     let mut r = Reader::new(&bytes);
-    let version = r.take_bytes().ok()?;
-    if version != code_version.as_bytes() {
+    if r.take_bytes().ok()? != code_version.as_bytes() {
         return None;
     }
     let snap = Snapshot::from_bytes(r.take_bytes().ok()?).ok()?;
@@ -948,7 +987,11 @@ pub fn plant_checkpoint(
     snap: &Snapshot,
 ) -> io::Result<()> {
     fs::create_dir_all(out.join("ckpt"))?;
-    save_ckpt(out, &spec.id(), code_version, snap)
+    save_snapshot(
+        &out.join("ckpt").join(format!("{}.ckpt", spec.id())),
+        code_version,
+        snap,
+    )
 }
 
 /// Loads the record stored at `path` if its full key — id, code version,
@@ -979,16 +1022,17 @@ pub(crate) fn load_record(
     .then_some(rec)
 }
 
-/// How many cycles one cell runs before its super-job rotates to the next
-/// cell (and before a progress tick is emitted). Large enough that the
-/// rotation is free against the per-cycle simulation cost, small enough
-/// that a short cell finishes (and its cache entry lands on disk) without
-/// waiting out a long sibling.
-pub const BATCH_QUANTUM: u64 = 512;
+/// The progress-tick and watchdog quantum: [`Programs::run_and_verify`]
+/// stops at every multiple of this many cycles to check the watchdog and
+/// let a cell emit a [`ProgressTick`]. Large enough that a stop is free
+/// against the per-cycle simulation cost, small enough that live
+/// telemetry stays live.
+pub const TICK_QUANTUM: u64 = 512;
 
-/// One progress observation, emitted after every [`BATCH_QUANTUM`] cycles
-/// a cell simulates (the `smt-serve` daemon forwards these to subscribed
-/// clients as live telemetry).
+/// One progress observation, emitted at every multiple of
+/// [`TICK_QUANTUM`] cycles a cell simulates and when it finishes (the
+/// `smt-serve` daemon forwards these to subscribed clients as live
+/// telemetry).
 #[derive(Clone, Copy, Debug)]
 pub struct ProgressTick<'a> {
     /// The cell's stable id.
@@ -999,26 +1043,8 @@ pub struct ProgressTick<'a> {
     pub committed: u64,
 }
 
-/// One cell mid-flight inside a super-job.
-struct Running<'a> {
-    spec: CellSpec,
-    id: String,
-    config: SimConfig,
-    sim: Simulator<'a>,
-    resumed: bool,
-    /// Cycle the simulator held when this invocation picked the cell up
-    /// (non-zero after a snapshot resume) — the delta to the final cycle is
-    /// what this run actually simulated.
-    start_cycle: u64,
-    /// Live CPI-stack accountant, when the caller asked for telemetry.
-    /// Only attached to cells starting at cycle 0: the accountant's slot
-    /// invariant needs to observe every decode, so a snapshot resume (with
-    /// instructions already in flight) runs untraced.
-    cpi: Option<CpiStack>,
-}
-
-/// Per-cell outcome of scheduling one cell (or super-job of cells):
-/// the record that was produced or fetched, plus how it was produced.
+/// Per-cell outcome of producing one cell: the record that was produced
+/// or fetched, plus how it was produced.
 #[derive(Clone, Debug)]
 pub struct CellOutcome {
     /// The cell.
@@ -1036,20 +1062,39 @@ pub struct CellOutcome {
     pub cpi: Option<CpiBreakdown>,
 }
 
+/// Where a cell's record lives, which decides how its machine starts on a
+/// store miss.
+pub(crate) enum Namespace<'a> {
+    /// The exact store, `cells/<id>`: the machine resumes from the cell's
+    /// mid-flight snapshot in `ckpt/<id>` when one is there, else starts
+    /// cold, and snapshots itself every `checkpoint_every` cycles.
+    Exact,
+    /// The approximate store, `cells-warm/<id>@w<warmup>`: the machine
+    /// forks from the warm snapshot `warm` returns for the cell's
+    /// programs. When `warm` cannot make one, its error becomes the
+    /// record's `reason` and the machine starts cold instead.
+    Warm {
+        /// Warmup length the snapshot was taken after.
+        warmup: u64,
+        /// The shared warm snapshot, made (or recalled) on demand.
+        warm: &'a mut dyn FnMut(&[Program]) -> Result<Snapshot, String>,
+    },
+}
+
 /// The reusable scheduling core of the sweep engine: one result-store
 /// directory plus the execution knobs and the shared program memo.
 ///
-/// Everything that executes cells — the batch `sweep` binary through
-/// [`run_sweep`], and the `smt-serve` daemon's worker pool — goes through
-/// this handle, so the cache-first/resume/infeasibility semantics (and
-/// therefore the produced bytes) are identical no matter who asks. The
-/// handle is `Sync`: workers share one `&Scheduler` across threads, and
-/// multiple *processes* can safely share one store directory because every
-/// write is atomic tmp+rename.
+/// Everything that produces cells — the `sweep` binary through
+/// [`run_sweep`], the `smt-serve` daemon's worker pool, and the search
+/// explorer — goes through this handle, so the cache-first/resume/
+/// infeasibility semantics (and therefore the produced bytes) are
+/// identical no matter who asks. The handle is `Sync`: workers share one
+/// `&Scheduler` across threads, and multiple *processes* can safely share
+/// one store directory because every write is atomic tmp+rename.
 pub struct Scheduler {
     out: PathBuf,
     opts: SweepOptions,
-    pub(crate) programs: Programs,
+    programs: Programs,
 }
 
 impl Scheduler {
@@ -1100,23 +1145,10 @@ impl Scheduler {
     }
 
     /// The identity hashes a record for `spec` must carry to be valid
-    /// under this scheduler: `(config hash, program hash)`. Builds (or
-    /// reuses the memoized) program; a kernel that fails to lower hashes
-    /// as 0, exactly as its infeasible record is written.
-    pub(crate) fn identities(&self, spec: &CellSpec) -> (u64, u64, Built) {
-        let built = self.programs.get(&spec.work, spec.threads);
-        let program_hash = match built.as_ref() {
-            // A uniform cell hashes its single program exactly as before
-            // mixes existed (existing caches stay valid); a mix hashes
-            // the ordered vector of per-program identities.
-            Ok(ps) => match ps.as_slice() {
-                [p] => program_identity(p),
-                ps => smt_checkpoint::stable_hash(
-                    &ps.iter().map(program_identity).collect::<Vec<u64>>(),
-                ),
-            },
-            Err(_) => 0,
-        };
+    /// under this scheduler: `(config hash, program hash)`, plus the
+    /// built program (see [`Programs::get`]).
+    fn identities(&self, spec: &CellSpec) -> (u64, u64, Built) {
+        let (built, program_hash) = self.programs.get(&spec.work, spec.threads);
         (config_identity(&spec.config()), program_hash, built)
     }
 
@@ -1128,7 +1160,7 @@ impl Scheduler {
         let (config_hash, program_hash, _) = self.identities(spec);
         let id = spec.id();
         load_record(
-            &cell_path(&self.out, &id),
+            &self.out.join("cells").join(format!("{id}.cell")),
             &id,
             &self.opts.code_version,
             config_hash,
@@ -1136,226 +1168,138 @@ impl Scheduler {
         )
     }
 
-    /// Produces one cell: from cache if valid, else by simulation
+    /// Produces one exact cell: from cache if valid, else by simulation
     /// (resuming from a mid-flight snapshot when one exists). `on_tick`
-    /// fires after every [`BATCH_QUANTUM`] simulated cycles; `cpi`
-    /// requests a live CPI-stack breakdown on freshly simulated cells.
+    /// sees every [`ProgressTick`]; `cpi` requests a live CPI-stack
+    /// breakdown on freshly simulated cells.
     ///
     /// # Panics
     ///
     /// Panics if the simulation faults, exceeds its cycle watchdog, fails
-    /// its workload check, or the store is unwritable — the same contract
-    /// as the batch sweep, whose results must never contain broken runs.
+    /// its workload check, or the store is unwritable — results must
+    /// never contain broken runs.
     pub fn run_cell(
         &self,
         spec: &CellSpec,
         cpi: bool,
         on_tick: &mut dyn FnMut(ProgressTick<'_>),
     ) -> CellOutcome {
-        self.run_batch(&[0], std::slice::from_ref(spec), cpi, on_tick)
-            .pop()
-            .expect("a one-cell batch produces one outcome")
+        self.produce(spec, Namespace::Exact, cpi, on_tick)
     }
 
-    /// Steps `cell` for up to one quantum, checkpointing on the same
-    /// cadence a dedicated per-cell loop would. Returns whether the cell
-    /// finished.
-    fn advance(&self, cell: &mut Running<'_>, on_tick: &mut dyn FnMut(ProgressTick<'_>)) -> bool {
-        let id = &cell.id;
-        for _ in 0..BATCH_QUANTUM {
-            if cell.sim.finished() {
-                break;
-            }
-            assert!(
-                cell.sim.cycle() < cell.sim.config().max_cycles,
-                "{id}: watchdog: exceeded {} cycles",
-                cell.sim.config().max_cycles
-            );
-            match cell.cpi.as_mut() {
-                Some(stack) => cell.sim.step_with(Observers::trace(stack)),
-                None => cell.sim.step(),
-            }
-            .unwrap_or_else(|e| panic!("{id}: simulation failed: {e}"));
-            if let Some(every) = self.opts.checkpoint_every {
-                if cell.sim.cycle() % every == 0 && !cell.sim.finished() {
-                    save_ckpt(
-                        &self.out,
-                        id,
-                        &self.opts.code_version,
-                        &cell.sim.checkpoint(),
-                    )
-                    .unwrap_or_else(|e| panic!("{id}: cannot write checkpoint: {e}"));
-                }
-            }
-        }
-        on_tick(ProgressTick {
-            id,
-            cycle: cell.sim.cycle(),
-            committed: cell.sim.stats().committed_total(),
-        });
-        cell.sim.finished()
-    }
-
-    /// Drains a finished cell: finalizes statistics, verifies the
-    /// architectural answer, drops the now-dead snapshot, and builds the
-    /// record. Returns `(record, cycles simulated, cpi breakdown)`.
-    fn finalize(
+    /// The one cell producer: the record of `spec` in namespace `ns`. A
+    /// valid stored record is returned as is. Otherwise the cell is
+    /// infeasible when its kernel does not lower or the machine rejects
+    /// the point, and else its machine is started as `ns` says, run and
+    /// verified by [`Programs::run_and_verify`]; either way the new
+    /// record is persisted.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_cell`](Self::run_cell).
+    pub(crate) fn produce(
         &self,
-        mut cell: Running<'_>,
-        program_hash: u64,
-    ) -> (CellRecord, u64, Option<CpiBreakdown>) {
-        let id = &cell.id;
-        // The machine is drained; `run` performs no steps and finalizes
-        // the statistics (cache counters, FU busy cycles).
-        let stats = cell
-            .sim
-            .run()
-            .unwrap_or_else(|e| panic!("{id}: finalize failed: {e}"));
-        self.programs
-            .verify(&cell.spec.work, &cell.sim)
-            .unwrap_or_else(|e| panic!("{id}: wrong answer: {e}"));
-        let _ = fs::remove_file(ckpt_path(&self.out, id));
-        let rec = CellRecord::done(
-            cell.id.clone(),
-            &self.opts.code_version,
-            config_identity(&cell.config),
-            program_hash,
-            &stats,
-        );
-        (
-            rec,
-            stats.cycles - cell.start_cycle,
-            cell.cpi.map(CpiStack::finish),
-        )
-    }
-
-    /// Produces (from cache or by simulation) the records for one
-    /// super-job: cells sharing a single built program, their `step()`
-    /// loops interleaved in [`BATCH_QUANTUM`] slices on this one thread.
-    fn run_batch(
-        &self,
-        idxs: &[usize],
-        specs: &[CellSpec],
+        spec: &CellSpec,
+        ns: Namespace<'_>,
         cpi: bool,
         on_tick: &mut dyn FnMut(ProgressTick<'_>),
-    ) -> Vec<CellOutcome> {
-        let out = &self.out;
-        let opts = &self.opts;
-        let mut done = Vec::with_capacity(idxs.len());
-        let mut running: Vec<Running> = Vec::new();
-        // The planner groups by (workload, threads), so one memo lookup
-        // serves the whole job.
-        let first = &specs[idxs[0]];
-        let (_, program_hash, built) = self.identities(first);
-        let persist = |spec: &CellSpec, rec: CellRecord, resumed: bool, stepped: u64, cpi| {
-            write_atomic(&cell_path(out, &spec.id()), rec.to_lines().as_bytes())
-                .unwrap_or_else(|e| panic!("{}: cannot persist cell: {e}", spec.id()));
-            CellOutcome {
-                spec: spec.clone(),
-                rec,
-                ran: true,
-                resumed,
-                stepped,
-                cpi,
+    ) -> CellOutcome {
+        let code_version = &self.opts.code_version;
+        let (config_hash, program_hash, built) = self.identities(spec);
+        let (dir, id, pause_every) = match &ns {
+            Namespace::Exact => ("cells", spec.id(), self.opts.checkpoint_every),
+            Namespace::Warm { warmup, .. } => {
+                ("cells-warm", format!("{}@w{warmup}", spec.id()), None)
             }
         };
-        for &i in idxs {
-            let spec = &specs[i];
-            debug_assert_eq!((&spec.work, spec.threads), (&first.work, first.threads));
-            let config = spec.config();
-            let config_hash = config_identity(&config);
-            let id = spec.id();
-            if let Some(rec) = load_record(
-                &cell_path(out, &id),
-                &id,
-                &opts.code_version,
-                config_hash,
-                program_hash,
-            ) {
-                done.push(CellOutcome {
-                    spec: spec.clone(),
-                    rec,
-                    ran: false,
-                    resumed: false,
-                    stepped: 0,
-                    cpi: None,
-                });
-                continue;
-            }
-            let programs = match built.as_ref() {
-                Err(e) => {
-                    let rec = CellRecord::infeasible(
-                        id,
-                        &opts.code_version,
-                        config_hash,
-                        0,
-                        format!("kernel does not lower at {} threads: {e}", spec.threads),
-                    );
-                    done.push(persist(spec, rec, false, 0, None));
-                    continue;
-                }
-                Ok(ps) => ps,
-            };
-            // Uniform cells replicate one program across the partition; a
-            // mix places one single-threaded program per thread.
-            let restored = load_ckpt(out, &id, &opts.code_version)
-                .and_then(|snap| Simulator::restore(config.clone(), &programs[..], &snap).ok());
-            match restored {
-                Some(sim) => running.push(Running {
-                    spec: spec.clone(),
-                    id,
-                    config,
-                    start_cycle: sim.cycle(),
-                    sim,
-                    resumed: true,
-                    cpi: None,
-                }),
-                None => {
-                    match Simulator::try_new(config.clone(), &programs[..]) {
-                        Ok(sim) => running.push(Running {
-                            spec: spec.clone(),
-                            id,
-                            cpi: cpi.then(|| CpiStack::new(config.trace_shape().width)),
-                            config,
-                            sim,
-                            resumed: false,
-                            start_cycle: 0,
-                        }),
-                        // Config rejections are holes in the space too: e.g.
-                        // two fetch ports with a single resident thread.
-                        Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
-                            let rec = CellRecord::infeasible(
-                                spec.id(),
-                                &opts.code_version,
-                                config_hash,
-                                program_hash,
-                                e.to_string(),
-                            );
-                            done.push(persist(spec, rec, false, 0, None));
-                        }
-                        Err(e) => panic!("{id}: simulator rejected the cell: {e}"),
-                    }
-                }
-            }
+        let path = self.out.join(dir).join(format!("{id}.cell"));
+        let outcome = |rec, ran, resumed, stepped, cpi| CellOutcome {
+            spec: spec.clone(),
+            rec,
+            ran,
+            resumed,
+            stepped,
+            cpi,
+        };
+        if let Some(rec) = load_record(&path, &id, code_version, config_hash, program_hash) {
+            return outcome(rec, false, false, 0, None);
         }
-        // Interleave: rotate through the live cells one quantum at a
-        // time. Completion order does not matter — run_sweep sorts by
-        // cell id.
-        while !running.is_empty() {
-            let mut i = 0;
-            while i < running.len() {
-                if self.advance(&mut running[i], on_tick) {
-                    let cell = running.swap_remove(i);
-                    let resumed = cell.resumed;
-                    let spec = cell.spec.clone();
-                    let (rec, stepped, breakdown) = self.finalize(cell, program_hash);
-                    done.push(persist(&spec, rec, resumed, stepped, breakdown));
-                } else {
-                    i += 1;
-                }
+        let persist = |rec: CellRecord, resumed, stepped, cpi| {
+            write_atomic(&path, rec.to_lines().as_bytes())
+                .unwrap_or_else(|e| panic!("{id}: cannot persist cell: {e}"));
+            outcome(rec, true, resumed, stepped, cpi)
+        };
+        let infeasible = |program_hash, reason| {
+            let rec =
+                CellRecord::infeasible(id.clone(), code_version, config_hash, program_hash, reason);
+            persist(rec, false, 0, None)
+        };
+        let programs = match built.as_ref() {
+            Ok(programs) => &programs[..],
+            Err(e) => {
+                return infeasible(
+                    0,
+                    format!("kernel does not lower at {} threads: {e}", spec.threads),
+                )
             }
+        };
+        let config = spec.config();
+        let ckpt = self.out.join("ckpt").join(format!("{id}.ckpt"));
+        let mut note = None;
+        // Resume or fork when the namespace has a snapshot to start from,
+        // else start cold.
+        let started = match ns {
+            Namespace::Exact => load_snapshot(&ckpt, code_version)
+                .and_then(|snap| Simulator::restore(config.clone(), programs, &snap).ok())
+                .map(Ok),
+            Namespace::Warm { warm, .. } => match warm(programs) {
+                Ok(snap) => Some(Simulator::fork_warm(config.clone(), programs, &snap)),
+                Err(why) => {
+                    note = Some(why);
+                    None
+                }
+            },
+        };
+        let started = started.unwrap_or_else(|| Simulator::try_new(config, programs));
+        let mut sim = match started {
+            Ok(sim) => sim,
+            // Config rejections are holes in the space too: e.g. two fetch
+            // ports with a single resident thread.
+            Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
+                return infeasible(program_hash, note.unwrap_or_else(|| e.to_string()))
+            }
+            Err(e) => panic!("{id}: simulator rejected the cell: {e}"),
+        };
+        // A restored machine starts mid-flight; a cold or forked one at
+        // cycle 0. The CPI accountant must observe every decode, so only
+        // the latter can carry one.
+        let start = sim.cycle();
+        let (stats, breakdown) = self.programs.run_and_verify(
+            &spec.work,
+            &id,
+            &mut sim,
+            cpi && start == 0,
+            pause_every,
+            &mut |sim| {
+                if pause_every.is_some_and(|n| sim.cycle() % n == 0) && !sim.finished() {
+                    save_snapshot(&ckpt, code_version, &sim.checkpoint())
+                        .unwrap_or_else(|e| panic!("{id}: cannot write checkpoint: {e}"));
+                }
+                if sim.cycle() % TICK_QUANTUM == 0 || sim.finished() {
+                    on_tick(ProgressTick {
+                        id: &id,
+                        cycle: sim.cycle(),
+                        committed: sim.stats().committed_total(),
+                    });
+                }
+            },
+        );
+        let _ = fs::remove_file(&ckpt);
+        let mut rec = CellRecord::done(id.clone(), code_version, config_hash, program_hash, &stats);
+        if let Some(note) = note {
+            rec.reason = note;
         }
-        done
+        persist(rec, start > 0, stats.cycles - start, breakdown)
     }
 }
 
@@ -1425,16 +1369,21 @@ pub fn results_json(cells: &[(CellSpec, CellRecord)]) -> String {
 pub fn run_sweep(grid: &Grid, out: &Path, opts: &SweepOptions) -> io::Result<SweepSummary> {
     let sched = Scheduler::new(out, opts.clone())?;
     let specs = grid.cells();
-    let batch = opts
-        .batch
-        .unwrap_or_else(|| default_batch(specs.len(), opts.workers));
-    let jobs = plan_batches(&specs, batch);
-    let outcomes: Vec<CellOutcome> = par_map(&jobs, opts.workers, |job| {
-        sched.run_batch(job, &specs, false, &mut |_| {})
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    // Build every kernel first, on every worker: each cell's probe needs
+    // its kernel's identity hash, and adjacent cells share kernels, so a
+    // cell-by-cell start would queue every worker behind each build.
+    let mut kernels: Vec<(&WorkSpec, usize)> = Vec::new();
+    for spec in &specs {
+        if !kernels.contains(&(&spec.work, spec.threads)) {
+            kernels.push((&spec.work, spec.threads));
+        }
+    }
+    par_map(&kernels, opts.workers, |&(work, threads)| {
+        sched.programs.get(work, threads)
+    });
+    let outcomes = par_map(&specs, opts.workers, |spec| {
+        sched.run_cell(spec, false, &mut |_| {})
+    });
     let count = |f: fn(&CellOutcome) -> bool| outcomes.iter().filter(|o| f(o)).count();
     let (executed, resumed) = (count(|o| o.ran), count(|o| o.resumed));
     let infeasible = count(|o| o.rec.status == CellStatus::Infeasible);
@@ -1451,7 +1400,6 @@ pub fn run_sweep(grid: &Grid, out: &Path, opts: &SweepOptions) -> io::Result<Swe
         infeasible,
         resumed,
         simulated_cycles,
-        batch,
         results_path,
     })
 }
@@ -1601,31 +1549,6 @@ mod tests {
     }
 
     #[test]
-    fn batches_partition_the_grid_and_never_mix_programs() {
-        let specs = Grid::smoke().cells();
-        for batch in [1, 3, 100] {
-            let jobs = plan_batches(&specs, batch);
-            let mut seen: Vec<usize> = jobs.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..specs.len()).collect::<Vec<_>>());
-            for job in &jobs {
-                assert!(job.len() <= batch);
-                let key = |i: &usize| (specs[*i].work.clone(), specs[*i].threads);
-                assert!(job.iter().all(|i| key(i) == key(&job[0])));
-            }
-        }
-    }
-
-    #[test]
-    fn default_batch_keeps_workers_oversubscribed() {
-        // 990-cell paper grid on 8 workers: jobs stay well above 4/worker.
-        let b = default_batch(990, 8);
-        assert!(b >= 1 && 990 / b >= 8 * 4, "batch {b}");
-        assert_eq!(default_batch(3, 8), 1, "tiny grids fall back to per-cell");
-        assert_eq!(default_batch(0, 0), 1, "degenerate inputs still plan");
-    }
-
-    #[test]
     fn records_round_trip_through_the_cell_format() {
         let rec = CellRecord {
             id: spec().id(),
@@ -1657,6 +1580,11 @@ mod tests {
         assert_eq!(CellRecord::parse(&mangled), None);
         let duplicated = format!("{}cycles=7\n", rec.to_lines());
         assert_eq!(CellRecord::parse(&duplicated), None, "a repeated key");
+        let lines = rec.to_lines();
+        let (body, _) = lines.rsplit_once("checksum=").unwrap();
+        assert_eq!(CellRecord::parse(body), None, "no checksum line");
+        let flipped = lines.replace("reason=no fit", "reason=no fat");
+        assert_eq!(CellRecord::parse(&flipped), None, "a checksum mismatch");
     }
 
     #[test]
@@ -1664,20 +1592,26 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("smt-load-record-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("x.cell");
-        let stats = SimStats {
+        let rec = CellRecord {
+            status: CellStatus::Done,
             cycles: 3239,
-            committed: vec![1000, 1001],
-            ..SimStats::default()
+            committed: 2001,
+            ipc: 2001.0 / 3239.0,
+            ..CellRecord::infeasible("x".into(), "v", 1, 2, String::new())
         };
-        let rec = CellRecord::done("x".into(), "v", 1, 2, &stats);
         fs::write(&path, rec.to_lines()).unwrap();
         assert_eq!(load_record(&path, "x", "v", 1, 2), Some(rec.clone()));
         assert_eq!(load_record(&path, "y", "v", 1, 2), None, "another id");
         assert_eq!(load_record(&path, "x", "w", 1, 2), None, "another version");
         assert_eq!(load_record(&path, "x", "v", 3, 2), None, "another config");
         assert_eq!(load_record(&path, "x", "v", 1, 3), None, "another program");
-        let corrupt = rec.to_lines().replace("cycles=3239", "cycles=93239");
-        fs::write(&path, corrupt).unwrap();
+        // A well-formed record (its checksum matches) that contradicts
+        // itself.
+        let corrupt = CellRecord {
+            cycles: 93239,
+            ..rec.clone()
+        };
+        fs::write(&path, corrupt.to_lines()).unwrap();
         assert_eq!(
             load_record(&path, "x", "v", 1, 2),
             None,

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! `submit` prints one line per answered cell and, with `--out`, writes
-//! the merged `results.json` — byte-identical to what a batch `sweep`
+//! the merged `results.json` — byte-identical to what a direct `sweep`
 //! run over the same cells would produce. Exits nonzero if any cell
 //! failed or the server refused the submission.
 

@@ -5,7 +5,7 @@
 //! exchange at a time. [`Client::submit`] streams: it forwards progress
 //! events to a callback as they arrive and returns once the server's
 //! `done` line lands, with every cell record reconstructed bit-exactly
-//! — [`SubmitOutcome::results_json`] then renders the same bytes a batch
+//! — [`SubmitOutcome::results_json`] then renders the same bytes a direct
 //! sweep's `results.json` would hold.
 
 use std::fmt;
@@ -61,7 +61,7 @@ pub struct Progress {
 /// What one submission produced.
 #[derive(Clone, Debug)]
 pub struct SubmitOutcome {
-    /// Every produced cell, sorted by id — the batch sweep's merge order.
+    /// Every produced cell, sorted by id — the sweep's merge order.
     pub cells: Vec<(CellSpec, CellRecord)>,
     /// Cells answered from the server's store without simulating.
     pub cached: u64,
@@ -74,9 +74,9 @@ pub struct SubmitOutcome {
 }
 
 impl SubmitOutcome {
-    /// Renders the cells exactly as a batch sweep writes `results.json`
+    /// Renders the cells exactly as a direct sweep writes `results.json`
     /// (sorted, one object per cell, shortest-round-trip floats) — byte
-    /// identity between served and batch results is the core contract.
+    /// identity between served and direct results is the core contract.
     #[must_use]
     pub fn results_json(&self) -> String {
         results_json(&self.cells)

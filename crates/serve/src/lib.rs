@@ -1,6 +1,6 @@
 //! Sweep-as-a-service: the design-space engine behind a TCP socket.
 //!
-//! `smt-serve` wraps the batch sweep machinery
+//! `smt-serve` wraps the sweep machinery
 //! ([`smt_experiments::sweep`]) in a persistent daemon. A server owns a
 //! content-addressed cell store and a worker pool; clients connect over
 //! TCP, speak newline-delimited JSON ([`proto`]), and submit single
@@ -10,10 +10,10 @@
 //! as they finish, optionally with per-quantum progress telemetry and a
 //! live CPI-stack breakdown.
 //!
-//! Because the store is the same atomic tmp+rename cell cache the batch
+//! Because the store is the same atomic tmp+rename cell cache the
 //! `sweep` binary uses, several server processes can share one store
 //! directory for multi-process scale-out, and results served over the
-//! socket are byte-identical to a batch run's `results.json` (the
+//! socket are byte-identical to a direct run's `results.json` (the
 //! black-box suite asserts this).
 //!
 //! Modules:

@@ -41,7 +41,7 @@
 //! resynchronized and closes the connection after the error line.
 //!
 //! A `cell` response carries the full design point and its record — the
-//! same fields, hashes, and float formatting as one entry of the batch
+//! same fields, hashes, and float formatting as one entry of a direct
 //! sweep's `results.json`, so a client holding `cell` lines can
 //! reconstruct that file byte-identically (asserted by the black-box
 //! suite).

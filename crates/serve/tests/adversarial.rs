@@ -41,7 +41,6 @@ fn start(tag: &str) -> (Server, PathBuf) {
         scale: Scale::Test,
         workers: 1,
         checkpoint_every: None,
-        batch: None,
         ..SweepOptions::default()
     };
     let srv = Server::start("127.0.0.1:0", &store, opts).expect("server starts");

@@ -2,7 +2,7 @@
 //! driven over raw `TcpStream`s (and through the [`Client`] where
 //! convenience matters), asserting the wire contract end to end — happy
 //! path, whole-grid submission, in-flight dedup, the cached fast path,
-//! and byte-identity between served results and a direct batch sweep.
+//! and byte-identity between served results and a direct sweep.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -31,7 +31,6 @@ fn opts(workers: usize) -> SweepOptions {
         scale: Scale::Test,
         workers,
         checkpoint_every: None,
-        batch: None,
         ..SweepOptions::default()
     }
 }
@@ -203,11 +202,11 @@ fn grid_submission_covers_every_cell_and_progress_streams() {
 }
 
 #[test]
-fn served_results_are_byte_identical_to_a_batch_sweep() {
-    // Reference: the batch path writing results.json directly.
-    let batch_out = scratch("batch-ref");
-    run_sweep(&Grid::smoke(), &batch_out, &opts(2)).expect("batch sweep");
-    let reference = fs::read_to_string(batch_out.join("results.json")).expect("reference bytes");
+fn served_results_are_byte_identical_to_a_direct_sweep() {
+    // Reference: the direct path writing results.json directly.
+    let direct_out = scratch("direct-ref");
+    run_sweep(&Grid::smoke(), &direct_out, &opts(2)).expect("direct sweep");
+    let reference = fs::read_to_string(direct_out.join("results.json")).expect("reference bytes");
 
     // Candidate: the same grid served over the socket into a fresh store.
     let (srv, store) = server("byte-ident", 4);
@@ -218,15 +217,15 @@ fn served_results_are_byte_identical_to_a_batch_sweep() {
     assert_eq!(
         outcome.results_json(),
         reference,
-        "served cells must reconstruct the batch results.json byte-for-byte"
+        "served cells must reconstruct the direct results.json byte-for-byte"
     );
     shut_down(srv);
     let _ = fs::remove_dir_all(&store);
-    let _ = fs::remove_dir_all(&batch_out);
+    let _ = fs::remove_dir_all(&direct_out);
 }
 
 #[test]
-fn hetero_mixes_served_with_a_corpus_match_the_batch_sweep() {
+fn hetero_mixes_served_with_a_corpus_match_the_direct_sweep() {
     let corpus = Arc::new(
         Corpus::load(concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus"))
             .expect("repository corpus loads"),
@@ -236,10 +235,10 @@ fn hetero_mixes_served_with_a_corpus_match_the_batch_sweep() {
         ..opts(workers)
     };
 
-    // Reference: the hetero grid through the batch path.
-    let batch_out = scratch("hetero-batch");
-    run_sweep(&Grid::hetero(), &batch_out, &with_corpus(2)).expect("batch hetero sweep");
-    let reference = fs::read_to_string(batch_out.join("results.json")).expect("reference bytes");
+    // Reference: the hetero grid through the direct path.
+    let direct_out = scratch("hetero-direct");
+    run_sweep(&Grid::hetero(), &direct_out, &with_corpus(2)).expect("direct hetero sweep");
+    let reference = fs::read_to_string(direct_out.join("results.json")).expect("reference bytes");
 
     // Candidate: the same grid served over the socket into a fresh store.
     let store = scratch("hetero-served");
@@ -253,11 +252,11 @@ fn hetero_mixes_served_with_a_corpus_match_the_batch_sweep() {
     assert_eq!(
         outcome.results_json(),
         reference,
-        "served hetero cells must reconstruct the batch results.json byte-for-byte"
+        "served hetero cells must reconstruct the direct results.json byte-for-byte"
     );
     shut_down(srv);
     let _ = fs::remove_dir_all(&store);
-    let _ = fs::remove_dir_all(&batch_out);
+    let _ = fs::remove_dir_all(&direct_out);
 }
 
 #[test]

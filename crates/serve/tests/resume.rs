@@ -1,7 +1,7 @@
 //! Crash-resume at the service level: SIGKILL a `serve` process while a
 //! grid is streaming, restart it over the same store, resubmit, and get
 //! the complete grid — with the surviving partial work reused, and the
-//! final results byte-identical to an uninterrupted batch sweep.
+//! final results byte-identical to an uninterrupted direct sweep.
 
 use std::fs;
 use std::io::{BufRead, BufReader};
@@ -55,7 +55,7 @@ fn spawn(store: &Path, workers: usize) -> (Child, SocketAddr) {
 #[test]
 fn sigkill_mid_grid_then_restart_resubmit_completes_byte_identically() {
     // Reference: what the grid's results must look like, produced by the
-    // batch path with no server involved.
+    // direct path with no server involved.
     let reference_out = scratch("reference");
     let reference_opts = SweepOptions {
         scale: Scale::Test,
@@ -123,7 +123,7 @@ fn sigkill_mid_grid_then_restart_resubmit_completes_byte_identically() {
     assert_eq!(
         outcome.results_json(),
         reference,
-        "crash + restart + resubmit must converge on the batch-sweep bytes"
+        "crash + restart + resubmit must converge on the direct-sweep bytes"
     );
 
     Client::connect(addr)

@@ -15,6 +15,8 @@
 //! 3. **Warm ≡ full selection.** Warm-forked measurement approximates
 //!    IPC but must not change *which* machines win: the warm-mode and
 //!    full-mode searches select the same frontier point set.
+//! 4. **Fail-closed warm store.** A corrupted warm record is re-simulated
+//!    — that point and no other — and the artifacts do not move.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -182,5 +184,67 @@ fn warm_and_full_searches_select_the_same_frontier() {
         warm.frontier.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>(),
         full.frontier.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>(),
     );
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn a_tampered_warm_record_re_simulates_only_that_point() {
+    let mode = EvalMode::Warm { warmup: WARMUP };
+    let out = scratch("warm-tamper");
+    let first = run_search(&sched(&out), &space(), mode, &params()).expect("search runs");
+    let artifacts = |r: &smt_experiments::explore::SearchReport| {
+        (
+            fs::read(&r.trajectory_path).expect("trajectory"),
+            fs::read(&r.frontier_path).expect("frontier"),
+        )
+    };
+    let reference = artifacts(&first);
+
+    // Every warm record with its write time; a re-simulated point is
+    // rewritten (atomically, so with a new write time), a cache hit is not.
+    let records = || -> Vec<(PathBuf, std::time::SystemTime)> {
+        let mut files: Vec<_> = fs::read_dir(out.join("cells-warm"))
+            .expect("warm namespace")
+            .map(|e| {
+                let path = e.expect("dir entry").path();
+                let written = fs::metadata(&path).and_then(|m| m.modified());
+                (path, written.expect("mtime"))
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = records();
+    assert!(before.len() > 1, "the search visits several points");
+    let victim = before[0].0.clone();
+    let clean = fs::read_to_string(&victim).expect("warm record");
+    let tampered: String = clean
+        .lines()
+        .map(|l| match l.strip_prefix("hit_rate=") {
+            Some(v) => format!("hit_rate=9{v}\n"),
+            None => format!("{l}\n"),
+        })
+        .collect();
+    assert_ne!(tampered, clean);
+    fs::write(&victim, tampered).expect("tamper warm record");
+    let before = records();
+
+    // A fresh scheduler, as a new `sweep --search` process would open.
+    let again = run_search(&sched(&out), &space(), mode, &params()).expect("search reruns");
+    assert_eq!(artifacts(&again), reference, "the artifacts do not move");
+    assert_eq!(
+        fs::read_to_string(&victim).expect("warm record"),
+        clean,
+        "the tampered point is re-simulated"
+    );
+    let after = records();
+    for ((path, was), (_, now)) in before.iter().zip(&after) {
+        assert_eq!(
+            was != now,
+            *path == victim,
+            "only the tampered point is rewritten: {}",
+            path.display()
+        );
+    }
     let _ = fs::remove_dir_all(&out);
 }

@@ -42,7 +42,6 @@ fn opts() -> SweepOptions {
         scale: Scale::Test,
         workers: 2,
         checkpoint_every: Some(500),
-        batch: None,
         code_version: "test-v1".to_string(),
         corpus: None,
     }
@@ -50,6 +49,22 @@ fn opts() -> SweepOptions {
 
 fn results(dir: &Path) -> String {
     fs::read_to_string(dir.join("results.json")).expect("results.json exists")
+}
+
+/// Reads every cell file into `(name, bytes)`, sorted by name.
+fn cell_files(out: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut cells: Vec<(String, Vec<u8>)> = fs::read_dir(out.join("cells"))
+        .expect("cells dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            (
+                e.file_name().into_string().expect("utf-8 name"),
+                fs::read(e.path()).expect("cell file"),
+            )
+        })
+        .collect();
+    cells.sort();
+    cells
 }
 
 #[test]
@@ -66,13 +81,23 @@ fn cache_hits_are_bit_identical_and_skip_reruns() {
     assert_eq!(second.cached, 4);
     assert_eq!(results(&dir), cold, "cache hits serialize byte-identically");
 
+    // Another directory, one worker instead of two, and a denser
+    // checkpoint cadence: workers only decide which thread steals which
+    // cell, so the merged results and every content-addressed cell file
+    // come out the same.
     let other = scratch("hits-independent");
-    run_sweep(&grid, &other, &opts()).expect("independent sweep runs");
+    let one_worker = SweepOptions {
+        workers: 1,
+        checkpoint_every: Some(200),
+        ..opts()
+    };
+    run_sweep(&grid, &other, &one_worker).expect("independent sweep runs");
     assert_eq!(
         results(&other),
         cold,
         "results depend only on grid and code, not on the directory's history"
     );
+    assert_eq!(cell_files(&other), cell_files(&dir));
 }
 
 #[test]
@@ -124,6 +149,20 @@ fn stale_cache_fails_closed_per_cell() {
     );
 }
 
+/// `clean` with a `9` prefixed to the value of `key`: still a well-formed
+/// number, but no longer the measurement the record was written with.
+fn tamper(clean: &str, key: &str) -> String {
+    clean
+        .lines()
+        .map(
+            |l| match l.strip_prefix(key).and_then(|v| v.strip_prefix('=')) {
+                Some(v) => format!("{key}=9{v}\n"),
+                None => format!("{l}\n"),
+            },
+        )
+        .collect()
+}
+
 #[test]
 fn corrupted_measurements_fail_closed() {
     let grid = small_grid();
@@ -131,29 +170,28 @@ fn corrupted_measurements_fail_closed() {
     run_sweep(&grid, &dir, &opts()).expect("sweep runs");
     let reference = results(&dir);
 
-    // A flipped cycle count keeps every key field intact; only the
-    // record's own `ipc == committed / cycles` exposes it. That cell — and
-    // only that cell — must be re-simulated, and the merged results must
-    // come out byte-identical to the clean run.
+    // A corrupted measurement keeps every key field intact; the record's
+    // checksum exposes it (and for `cycles`, so does the record's own
+    // `ipc == committed / cycles`). That cell — and only that cell — must
+    // be re-simulated, and the merged results must come out
+    // byte-identical to the clean run.
     let victim = dir.join("cells").join("sieve-trr-t4-su32-sa.cell");
     let clean = fs::read_to_string(&victim).expect("cell file exists");
-    let tampered: String = clean
-        .lines()
-        .map(|l| match l.strip_prefix("cycles=") {
-            Some(cycles) => format!("cycles=9{cycles}\n"),
-            None => format!("{l}\n"),
-        })
-        .collect();
-    assert_ne!(tampered, clean);
-    fs::write(&victim, tampered).expect("tamper cell file");
-    let summary = run_sweep(&grid, &dir, &opts()).expect("sweep reruns");
-    assert_eq!(summary.executed, 1, "only the corrupted cell is re-run");
-    assert_eq!(summary.cached, 3);
-    assert_eq!(results(&dir), reference);
+    for key in ["cycles", "hit_rate", "branch_accuracy", "su_stalls"] {
+        let tampered = tamper(&clean, key);
+        assert_ne!(tampered, clean, "{key} is in the record");
+        fs::write(&victim, tampered).expect("tamper cell file");
+        let summary = run_sweep(&grid, &dir, &opts()).expect("sweep reruns");
+        assert_eq!(
+            summary.executed, 1,
+            "only the cell with a corrupted {key} is re-run"
+        );
+        assert_eq!(summary.cached, 3);
+        assert_eq!(results(&dir), reference);
+    }
 
     // A record that repeats a key is equally untrusted, whichever copy of
-    // the key a parser would believe — even one no consistency check
-    // covers.
+    // the key a parser would believe.
     fs::write(&victim, format!("{clean}hit_rate=0.0\n")).expect("duplicate a key");
     let summary = run_sweep(&grid, &dir, &opts()).expect("sweep reruns");
     assert_eq!(
