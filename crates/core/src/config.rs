@@ -473,7 +473,7 @@ impl SimConfig {
 ///
 /// A warm (v4) snapshot names the fields a forked run may change as a
 /// list of these ids, and binds everything else with a hash of the
-/// source configuration after [`canonicalize`] replaced every relaxed
+/// source configuration after [`canonicalize`](warm::canonicalize) replaced every relaxed
 /// field with its default. `Simulator::fork_warm` recomputes that hash
 /// for the target configuration against the snapshot's own relaxed list:
 /// two configurations pass iff they agree on every non-relaxed field.

@@ -74,7 +74,7 @@ pub use smt_trace as trace;
 pub use commit::{CommitSink, Retirement};
 pub use config::{CommitPolicy, ConfigError, FetchPolicy, RenamingMode, SimConfig};
 pub use error::SimError;
-pub use sim::{config_identity, program_identity, Observers, Simulator, ThreadPrograms};
+pub use sim::{config_identity, program_identity, Observers, Simulator, Tenant, ThreadPrograms};
 pub use smt_checkpoint::Snapshot;
 pub use smt_isa::spelling::Spellings;
 pub use smt_uarch::PredictorKind;

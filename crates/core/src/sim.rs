@@ -10,6 +10,7 @@
 //! paper mapping.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use smt_checkpoint::{DecodeError, Reader, Snapshot, Writer};
 use smt_isa::semantics::{alu_result, branch_taken, effective_addr};
@@ -99,6 +100,40 @@ impl<'p> From<&'p [Program]> for ThreadPrograms<'p> {
     }
 }
 
+/// One program on the machine and the hardware threads that run it.
+///
+/// Every machine is a table of tenants in thread order. A uniform (SPMD)
+/// machine is one tenant that owns threads `0..threads` and the whole
+/// data memory; a heterogeneous mix is one tenant per thread. A tenant's
+/// threads see themselves as threads `0..n` of an `n`-thread machine
+/// (`r0` is the thread's place in the tenant, `r1` the tenant's thread
+/// count) and its data segment as an address space of its own starting
+/// at 0: architecturally, each tenant runs as if alone on a machine of
+/// its thread count, sharing the pipeline, cache and store buffer.
+#[derive(Clone, Debug)]
+pub struct Tenant<'p> {
+    /// The program the tenant's threads run.
+    pub program: &'p Program,
+    /// The hardware threads that run it.
+    pub threads: Range<usize>,
+    /// Byte offset of the tenant's data segment in the flat backing
+    /// memory.
+    pub base: u64,
+    /// Size of the data segment in bytes — the bound its threads'
+    /// accesses are checked against, so faults carry tenant-local
+    /// addresses identical to a solo run of the program.
+    pub span: u64,
+}
+
+impl Tenant<'_> {
+    /// The tenant's data segment, out of the machine's flat `memory`.
+    #[must_use]
+    pub fn segment<'m>(&self, memory: &'m MainMemory) -> &'m [u64] {
+        let lo = (self.base / WORD_BYTES) as usize;
+        &memory.words()[lo..lo + (self.span / WORD_BYTES) as usize]
+    }
+}
+
 /// The observers of a run or step: an optional [`CommitSink`] for the
 /// architectural commit stream and an optional [`TraceSink`] for the
 /// pipeline lifecycle events. Observers see the machine; they cannot
@@ -131,8 +166,9 @@ impl<'a> Observers<'a> {
     }
 }
 
-/// The simulator. Owns all machine state for one run of one program
-/// (or one program per thread, see [`ThreadPrograms`]).
+/// The simulator. Owns all machine state for one run of its
+/// [`Tenant`]s: one program every thread shares, or one per thread (see
+/// [`ThreadPrograms`]).
 ///
 /// ```
 /// use smt_core::{SimConfig, Simulator};
@@ -155,18 +191,13 @@ impl<'a> Observers<'a> {
 #[derive(Clone, Debug)]
 pub struct Simulator<'p> {
     config: SimConfig,
-    /// One program per thread for a heterogeneous mix; a single shared
-    /// entry for the homogeneous (SPMD) case.
+    /// The tenant table, in thread order.
+    tenants: Vec<Tenant<'p>>,
+    /// Per thread, the owning tenant's program, segment base and segment
+    /// span, so fetch and address translation are a plain index by
+    /// thread.
     programs: Vec<&'p Program>,
-    /// Threads run distinct programs: each thread owns a private segment
-    /// of the flat backing memory and sees itself as thread 0 of 1.
-    multiprogram: bool,
-    /// Per-thread byte offset of the thread's data segment in the flat
-    /// backing memory (all zero when homogeneous).
     mem_base: Vec<u64>,
-    /// Per-thread data-segment size in bytes — the bound the thread's own
-    /// accesses are checked against, so faults carry thread-local
-    /// addresses identical to a solo run of that program.
     mem_span: Vec<u64>,
     cycle: u64,
     su: SchedulingUnit,
@@ -220,17 +251,12 @@ impl<'p> Simulator<'p> {
 
     /// Fallible constructor.
     ///
-    /// `programs` is one program every thread runs (SPMD: thread `tid`
-    /// of `threads` starts with `r0 = tid`, `r1 = threads`), or a
-    /// **program mix** of exactly `config.threads` programs, one per
-    /// hardware thread (see [`ThreadPrograms`]). A mix thread fetches and
-    /// decodes its own text, owns a private segment of the flat data
-    /// memory (its program's image, bounds-checked against its own size
-    /// so faults carry thread-local addresses), and sees itself as thread
-    /// 0 of a 1-thread machine — architecturally, `threads` independent
-    /// single-threaded programs sharing one pipeline, cache, and store
-    /// buffer. A one-program slice is the shared form, so a 1-thread mix
-    /// and its snapshots are interchangeable with the SPMD machine's.
+    /// `programs` is one program every thread runs — one [`Tenant`] that
+    /// owns the machine — or a **program mix** of exactly
+    /// `config.threads` programs, one tenant per hardware thread (see
+    /// [`ThreadPrograms`]). A one-program slice is the shared form, so a
+    /// 1-thread mix and its snapshots are interchangeable with the SPMD
+    /// machine's.
     ///
     /// # Errors
     ///
@@ -244,27 +270,33 @@ impl<'p> Simulator<'p> {
         programs: impl Into<ThreadPrograms<'p>>,
     ) -> Result<Self, SimError> {
         let programs = programs.into().0;
-        let multiprogram = match programs.len() {
-            1 => false,
-            n if n == config.threads => true,
-            n => {
+        let n = config.threads;
+        let owners: Vec<(&'p Program, Range<usize>)> = match programs.len() {
+            1 => vec![(programs[0], 0..n)],
+            m if m == n => programs
+                .into_iter()
+                .zip(0..n)
+                .map(|(p, t)| (p, t..t + 1))
+                .collect(),
+            m => {
                 return Err(SimError::Program(format!(
-                    "mix of {n} programs for {} threads",
-                    config.threads
+                    "mix of {m} programs for {n} threads"
                 )))
             }
         };
-        Self::build(config, programs, multiprogram)
+        Self::build(config, owners)
     }
 
+    /// Builds the machine from its tenant table: every thread's register
+    /// seeds, entry pc, program and segment, and the flat memory image,
+    /// come from the tenant that owns it.
     fn build(
         config: SimConfig,
-        programs: Vec<&'p Program>,
-        multiprogram: bool,
+        owners: Vec<(&'p Program, Range<usize>)>,
     ) -> Result<Self, SimError> {
         config.validate()?;
         let window = window_size(config.threads);
-        for program in &programs {
+        for (program, _) in &owners {
             for (pc, insn) in program.decoded().iter().enumerate() {
                 let regs = [insn.dest, insn.srcs[0], insn.srcs[1]];
                 for reg in regs.into_iter().flatten() {
@@ -279,37 +311,34 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        let mut regfile = vec![0u64; window * config.threads];
-        for tid in 0..config.threads {
-            // A mix thread is thread 0 of 1 from its program's view; an
-            // SPMD thread knows its place in the gang.
-            let (tid_seed, n_seed) = if multiprogram {
-                (0, 1)
-            } else {
-                (tid as u64, config.threads as u64)
-            };
-            regfile[tid * window] = tid_seed;
-            regfile[tid * window + 1] = n_seed;
+        let mut words: Vec<u64> = Vec::new();
+        let mut tenants = Vec::with_capacity(owners.len());
+        for (program, threads) in owners {
+            let base = words.len() as u64 * WORD_BYTES;
+            words.extend(program.data().to_words());
+            let span = words.len() as u64 * WORD_BYTES - base;
+            tenants.push(Tenant {
+                program,
+                threads,
+                base,
+                span,
+            });
         }
-        let (mem, mem_base, mem_span) = if multiprogram {
-            let mut words: Vec<u64> = Vec::new();
-            let mut base = Vec::with_capacity(config.threads);
-            let mut span = Vec::with_capacity(config.threads);
-            for p in &programs {
-                base.push(words.len() as u64 * WORD_BYTES);
-                let image = p.data().to_words();
-                span.push(image.len() as u64 * WORD_BYTES);
-                words.extend(image);
+        let mut regfile = vec![0u64; window * config.threads];
+        let mut programs = Vec::with_capacity(config.threads);
+        let mut mem_base = Vec::with_capacity(config.threads);
+        let mut mem_span = Vec::with_capacity(config.threads);
+        for t in &tenants {
+            for tid in t.threads.clone() {
+                regfile[tid * window] = (tid - t.threads.start) as u64;
+                regfile[tid * window + 1] = t.threads.len() as u64;
+                programs.push(t.program);
+                mem_base.push(t.base);
+                mem_span.push(t.span);
             }
-            (MainMemory::from_words(words), base, span)
-        } else {
-            let mem = MainMemory::from_image(programs[0].data());
-            let size = mem.size();
-            (mem, vec![0; config.threads], vec![size; config.threads])
-        };
-        let entries: Vec<usize> = (0..config.threads)
-            .map(|tid| programs[if multiprogram { tid } else { 0 }].entry())
-            .collect();
+        }
+        let entries: Vec<usize> = programs.iter().map(|p| p.entry()).collect();
+        let mem = MainMemory::from_words(words);
         let mut su = SchedulingUnit::new(config.su_blocks(), config.block_size);
         su.reserve_threads(config.threads);
         Ok(Simulator {
@@ -341,40 +370,26 @@ impl<'p> Simulator<'p> {
             },
             cycle: 0,
             config,
+            tenants,
             programs,
-            multiprogram,
             mem_base,
             mem_span,
         })
     }
 
-    /// The program thread `tid` runs (every thread's in the homogeneous
-    /// case).
+    /// The tenant table, in thread order: each tenant's program, the
+    /// hardware threads that run it, and its data segment
+    /// ([`Tenant::segment`]).
     #[must_use]
-    pub fn program_of(&self, tid: usize) -> &'p Program {
-        self.programs[if self.multiprogram { tid } else { 0 }]
+    pub fn tenants(&self) -> &[Tenant<'p>] {
+        &self.tenants
     }
 
-    /// Whether threads run distinct programs (a heterogeneous mix).
-    #[must_use]
-    pub fn is_multiprogram(&self) -> bool {
-        self.multiprogram
-    }
-
-    /// Thread `tid`'s data segment in the flat backing memory, as a
-    /// `(byte offset, byte size)` pair — `(0, full size)` when
-    /// homogeneous. Mix verifiers use it to carve each thread's view out
-    /// of [`memory`](Self::memory).
-    #[must_use]
-    pub fn thread_segment(&self, tid: usize) -> (u64, u64) {
-        (self.mem_base[tid], self.mem_span[tid])
-    }
-
-    /// Translates a thread-local data address to its location in the
+    /// Translates a tenant-local data address to its location in the
     /// flat backing memory, reproducing [`MainMemory`]'s fault order
     /// (alignment first, then bounds) against the thread's own segment:
-    /// a mix thread faults with exactly the address and bound it would
-    /// see running alone.
+    /// a thread faults with exactly the address and bound it would see
+    /// were its tenant alone on the machine.
     fn translate(&self, tid: usize, addr: u64) -> Result<u64, MemError> {
         if !addr.is_multiple_of(WORD_BYTES) {
             return Err(MemError::Unaligned { addr });
@@ -388,27 +403,21 @@ impl<'p> Simulator<'p> {
         Ok(self.mem_base[tid] + addr)
     }
 
-    /// The per-thread identity vector stored in snapshots: one hash for
-    /// the homogeneous case, one per thread for a mix.
+    /// The identity vector stored in snapshots: one program hash per
+    /// tenant.
     fn identity_vec(&self) -> Vec<u64> {
-        if self.multiprogram {
-            self.programs.iter().map(|p| program_identity(p)).collect()
-        } else {
-            vec![program_identity(self.programs[0])]
-        }
+        self.tenants
+            .iter()
+            .map(|t| program_identity(t.program))
+            .collect()
     }
 
     /// The initial flat-memory contents — the snapshot delta baseline.
     fn baseline_words(&self) -> Vec<u64> {
-        if self.multiprogram {
-            let mut words = Vec::new();
-            for p in &self.programs {
-                words.extend(p.data().to_words());
-            }
-            words
-        } else {
-            self.programs[0].data().to_words()
-        }
+        self.tenants
+            .iter()
+            .flat_map(|t| t.program.data().to_words())
+            .collect()
     }
 
     /// The configuration of this run.
@@ -1609,7 +1618,7 @@ impl<'p> Simulator<'p> {
             granted |= 1 << tid;
             match self
                 .iu
-                .fetch_block(tid, self.program_of(tid), &mut self.predictor)
+                .fetch_block(tid, self.programs[tid], &mut self.predictor)
             {
                 Some(mut block) => {
                     block.fetched_at = self.cycle;
@@ -1880,7 +1889,7 @@ impl<'p> Simulator<'p> {
             if retired {
                 self.iu.retire(tid);
             } else {
-                if self.program_of(tid).fetch_decoded(pc).is_none() {
+                if self.programs[tid].fetch_decoded(pc).is_none() {
                     return Err(malformed(format!(
                         "thread {tid} parked at pc {pc}, outside its program"
                     )));
@@ -1942,9 +1951,8 @@ impl<'p> Simulator<'p> {
     /// renaming indexes (rebuilt inside [`SchedulingUnit::restore`]).
     fn apply_snapshot(&mut self, snapshot: &Snapshot) -> Result<(), DecodeError> {
         let malformed = DecodeError::Malformed;
-        let decoded: Vec<&[smt_isa::DecodedInsn]> = (0..self.config.threads)
-            .map(|tid| self.program_of(tid).decoded())
-            .collect();
+        let decoded: Vec<&[smt_isa::DecodedInsn]> =
+            self.programs.iter().map(|p| p.decoded()).collect();
         let mut r = Reader::new(&snapshot.payload);
         r.expect_section(sec::CORE)?;
         self.cycle = r.take_u64()?;
@@ -2614,17 +2622,15 @@ mod tests {
         let b = pattern_program();
         let config = SimConfig::default().with_threads(2);
         let mut sim = Simulator::try_new(config, &[&a, &b]).unwrap();
-        assert!(sim.is_multiprogram());
+        assert_eq!(sim.tenants().len(), 2);
         let stats = sim.run().unwrap();
         let w = window_size(2);
-        for (tid, p) in [(0usize, &a), (1, &b)] {
+        for (tid, (p, t)) in [&a, &b].into_iter().zip(sim.tenants()).enumerate() {
+            assert_eq!(t.threads, tid..tid + 1);
             let mut interp = Interp::new(p, 1);
             interp.run().unwrap();
-            let (base, span) = sim.thread_segment(tid);
-            let lo = (base / WORD_BYTES) as usize;
-            let hi = lo + (span / WORD_BYTES) as usize;
             assert_eq!(
-                &sim.memory().words()[lo..hi],
+                t.segment(sim.memory()),
                 interp.mem_words(),
                 "thread {tid}: its memory segment must match a solo run"
             );
@@ -2701,7 +2707,7 @@ mod tests {
         let p = pattern_program();
         let config = SimConfig::default().with_threads(1);
         let mut sim = Simulator::try_new(config.clone(), &[&p]).unwrap();
-        assert!(!sim.is_multiprogram());
+        assert_eq!(sim.tenants().len(), 1);
         sim.step().unwrap();
         let snap = sim.checkpoint();
         assert!(Simulator::restore(config, &p, &snap).is_ok());
@@ -2712,9 +2718,11 @@ mod tests {
         let p = pattern_program();
         let config = SimConfig::default().with_threads(2);
         let shared = Simulator::try_new(config.clone(), &[&p]).unwrap();
-        assert!(!shared.is_multiprogram());
+        assert_eq!(shared.tenants().len(), 1);
+        assert_eq!(shared.tenants()[0].threads, 0..2);
         let mix = Simulator::try_new(config.clone(), &[&p, &p]).unwrap();
-        assert!(mix.is_multiprogram());
+        let owned: Vec<_> = mix.tenants().iter().map(|t| t.threads.clone()).collect();
+        assert_eq!(owned, [0..1, 1..2]);
         for wrong in [&[][..], &[&p, &p, &p][..]] {
             assert!(matches!(
                 Simulator::try_new(config.clone(), wrong),
@@ -2861,13 +2869,10 @@ mod tests {
         let mut fork = Simulator::fork_warm(variant, &[&a, &b], &snap).unwrap();
         fork.run().unwrap();
         let w = window_size(2);
-        for (tid, p) in [(0usize, &a), (1, &b)] {
+        for (tid, (p, t)) in [&a, &b].into_iter().zip(fork.tenants()).enumerate() {
             let mut interp = Interp::new(p, 1);
             interp.run().unwrap();
-            let (base, span) = fork.thread_segment(tid);
-            let lo = (base / WORD_BYTES) as usize;
-            let hi = lo + (span / WORD_BYTES) as usize;
-            assert_eq!(&fork.memory().words()[lo..hi], interp.mem_words());
+            assert_eq!(t.segment(fork.memory()), interp.mem_words());
             assert_eq!(
                 &fork.reg_file()[tid * w..tid * w + w],
                 &interp.reg_file()[..w]

@@ -4,9 +4,10 @@
 //! proves it sound: each program is oracle-verified (lockstep against the
 //! functional reference) at 1, 2, and 4 threads, its architectural memory
 //! is checked against the manifest's result predicate, every 2-kernel
-//! pairing and one 4-way mix is verified under the per-thread mix oracle,
-//! and each mixed run's per-thread memory segment is re-checked against
-//! the owning kernel's predicate. Any failure exits nonzero.
+//! pairing and one 4-way mix is verified with each tenant checked against
+//! a solo reference run of its own program, and each mixed run's
+//! per-tenant memory segment is re-checked against the owning kernel's
+//! predicate. Any failure exits nonzero.
 //!
 //! `--report` runs the cross-program interference / fairness study and
 //! prints the markdown tables EXPERIMENTS.md embeds: per-thread IPC under
@@ -42,7 +43,7 @@ fn config(threads: usize, policy: FetchPolicy) -> SimConfig {
 }
 
 /// Runs `programs[tid]` on thread `tid` (a single kernel runs solo at
-/// one thread) and checks each thread's memory segment against its
+/// one thread) and checks each tenant's memory segment against its
 /// kernel's manifest predicate. Returns the run's stats and (optionally)
 /// the CPI stack.
 fn run_checked(
@@ -63,20 +64,17 @@ fn run_checked(
     } else {
         (sim.run().map_err(|e| e.to_string())?, None)
     };
-    let words = sim.memory().words();
-    for (tid, kernel) in kernels.iter().enumerate() {
-        let (base, span) = sim.thread_segment(tid);
-        let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
+    for (tenant, kernel) in sim.tenants().iter().zip(kernels) {
         kernel
-            .verify(local, scale)
-            .map_err(|e| format!("thread {tid} ({}): {e}", kernel.name()))?;
+            .verify(tenant.segment(sim.memory()), scale)
+            .map_err(|e| format!("threads {:?} ({}): {e}", tenant.threads, kernel.name()))?;
     }
     Ok((stats, cpi))
 }
 
 /// Conformance pass: every kernel solo at 1/2/4 threads under the
 /// lockstep oracle and the manifest predicate, then every pair and one
-/// 4-way mix under the mix oracle. Returns the number of verifications.
+/// 4-way mix under the same oracle. Returns the number of verifications.
 fn check(corpus: &Corpus, scale: Scale) -> Result<usize, String> {
     let mut runs = 0;
     let built: Vec<(&CorpusWorkload, Program)> = corpus
@@ -322,11 +320,9 @@ fn render_stack_row(label: &str, threads: usize, policy: FetchPolicy, b: &CpiBre
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let dir = flag_value(&args, "--corpus").unwrap_or_else(|| "corpus".to_string());
-    let scale = match flag_value(&args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        Some(other) => panic!("--scale takes test|paper, not {other}"),
-    };
+    let scale: Scale = flag_value(&args, "--scale")
+        .map_or(Ok(Scale::Test), |s| s.parse())
+        .unwrap_or_else(|e| panic!("--scale: {e}"));
     let corpus = match Corpus::load(&dir) {
         Ok(c) => c,
         Err(e) => {
@@ -351,7 +347,7 @@ fn main() -> ExitCode {
             Ok(runs) => {
                 println!(
                     "corpus_check: {} kernels, {runs} verified runs (solo oracle at 1/2/4 \
-                     threads, all pairs + one 4-way mix under the mix oracle), all clean",
+                     threads, all pairs + one 4-way mix), all clean",
                     corpus.workloads().len(),
                 );
                 ExitCode::SUCCESS

@@ -11,7 +11,7 @@
 //! Any divergence is greedily minimized (segments are masked off while the
 //! failure reproduces — for mixes, across the concatenated per-thread
 //! masks) and reported as a `(seed, mask)` pair that regenerates the exact
-//! failing program — then the process exits nonzero.
+//! failing program(s) — then the process exits nonzero.
 //!
 //! ```text
 //! cargo run --release -p smt-experiments --bin fuzz                    # 200 seeds
@@ -39,6 +39,8 @@ use std::time::Instant;
 use smt_core::{FetchPolicy, Observers, PredictorKind, SimConfig, Simulator, ThreadPrograms};
 use smt_experiments::flag_value;
 use smt_experiments::sweep::par_map;
+use smt_isa::builder::BuildError;
+use smt_isa::Program;
 use smt_oracle::{verify, verify_with_checkpoints, Divergence, Report};
 use smt_testkit::progen::{GenConfig, MixPlan, Plan};
 use smt_testkit::shrink;
@@ -191,8 +193,7 @@ fn lifecycle_window<'p>(
 }
 
 /// Runs the oracle, optionally splicing a snapshot round-trip into the
-/// machine every `checkpoint_every` cycles. A mix (`programs[tid]` on
-/// thread `tid`) is checked per thread against a solo reference run.
+/// machine every `checkpoint_every` cycles.
 fn run_verify<'p>(
     programs: impl Into<ThreadPrograms<'p>>,
     cfg: SimConfig,
@@ -204,8 +205,87 @@ fn run_verify<'p>(
     }
 }
 
-/// Verifies one seed at every (policy, thread count) point. Returns the
-/// number of verifications done and the first failure, minimized.
+/// A generated workload the fuzzer verifies and shrinks: a [`Plan`]
+/// lowered for a thread count (one tenant on every thread) or a
+/// [`MixPlan`] (one tenant per thread). Either lowers a `(seed, mask)`
+/// pair to the program(s) a machine runs, so one minimizer and one
+/// report serve both.
+trait Subject {
+    /// The generating seed.
+    fn seed(&self) -> u64;
+    /// Hardware threads the program(s) run on.
+    fn threads(&self) -> usize;
+    /// Independently removable segments, across every program.
+    fn mask_len(&self) -> usize;
+    /// The program(s) under an enabled mask, pure in `(seed, mask)`.
+    fn lower(&self, mask: &[bool]) -> Result<Vec<Program>, BuildError>;
+    /// The enabled segments, for the report.
+    fn describe(&self, mask: &[bool]) -> String;
+    /// The call that rebuilds the program(s) from the printed mask.
+    fn repro(&self) -> String;
+}
+
+/// One generated program every thread runs.
+struct Spmd<'a> {
+    plan: &'a Plan,
+    threads: usize,
+}
+
+impl Subject for Spmd<'_> {
+    fn seed(&self) -> u64 {
+        self.plan.seed
+    }
+    fn threads(&self) -> usize {
+        self.threads
+    }
+    fn mask_len(&self) -> usize {
+        self.plan.mask_len()
+    }
+    fn lower(&self, mask: &[bool]) -> Result<Vec<Program>, BuildError> {
+        self.plan.build(mask, self.threads).map(|p| vec![p])
+    }
+    fn describe(&self, mask: &[bool]) -> String {
+        self.plan.describe(mask)
+    }
+    fn repro(&self) -> String {
+        format!(
+            "Plan::generate({}, &GenConfig::default()).build(&mask, {})",
+            self.plan.seed, self.threads
+        )
+    }
+}
+
+/// Masks concatenate across the slots, so segments vanish from every
+/// thread's program at once until only the interacting parts remain.
+impl Subject for MixPlan {
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+    fn threads(&self) -> usize {
+        self.plans.len()
+    }
+    fn mask_len(&self) -> usize {
+        MixPlan::mask_len(self)
+    }
+    fn lower(&self, mask: &[bool]) -> Result<Vec<Program>, BuildError> {
+        self.build(mask)
+    }
+    fn describe(&self, mask: &[bool]) -> String {
+        MixPlan::describe(self, mask)
+    }
+    fn repro(&self) -> String {
+        format!(
+            "MixPlan::generate({}, {}, &GenConfig::default()).build(&mask)",
+            self.seed,
+            self.plans.len()
+        )
+    }
+}
+
+/// Verifies one seed: its plan at every thread count under every
+/// [`FRONTENDS`] point, then its 2- and 4-program mixes under every
+/// [`MIX_FRONTENDS`] point. Returns the number of verifications done and
+/// the first failure, minimized.
 fn fuzz_seed(
     seed: u64,
     gen_cfg: &GenConfig,
@@ -213,154 +293,101 @@ fn fuzz_seed(
     checkpoint_every: Option<u64>,
 ) -> (u64, Option<Failure>) {
     let plan = Plan::generate(seed, gen_cfg);
+    let spmd = THREAD_COUNTS.map(|threads| Spmd {
+        plan: &plan,
+        threads,
+    });
+    let mixes = MIX_THREADS.map(|threads| MixPlan::generate(seed, threads, gen_cfg));
+    let columns = spmd
+        .iter()
+        .map(|s| (s as &dyn Subject, &FRONTENDS[..]))
+        .chain(
+            mixes
+                .iter()
+                .map(|m| (m as &dyn Subject, &MIX_FRONTENDS[..])),
+        );
     let mut runs = 0;
-    for threads in THREAD_COUNTS {
-        let program = plan
-            .build_full(threads)
-            .unwrap_or_else(|e| panic!("seed {seed}: plan must lower at {threads} threads: {e}"));
-        for frontend in FRONTENDS {
+    for (subject, frontends) in columns {
+        let programs = subject
+            .lower(&vec![true; subject.mask_len()])
+            .unwrap_or_else(|e| panic!("{} must lower: {e}", subject.repro()));
+        for &frontend in frontends {
             runs += 1;
-            if let Err(d) = run_verify(&program, config(frontend, threads), checkpoint_every) {
-                return (
-                    runs,
-                    Some(minimize(
-                        &plan,
-                        frontend,
-                        threads,
-                        &d,
-                        trace,
-                        checkpoint_every,
-                    )),
-                );
-            }
-        }
-    }
-    // The heterogeneous column: every thread runs a *different* generated
-    // program, checked per thread against a solo reference run.
-    for threads in MIX_THREADS {
-        let mix = MixPlan::generate(seed, threads, gen_cfg);
-        let programs = mix
-            .build_full()
-            .unwrap_or_else(|e| panic!("seed {seed}: mix must lower at {threads} slots: {e}"));
-        for frontend in MIX_FRONTENDS {
-            runs += 1;
-            if let Err(d) = run_verify(&programs[..], config(frontend, threads), checkpoint_every) {
-                return (
-                    runs,
-                    Some(minimize_mix(&mix, frontend, &d, trace, checkpoint_every)),
-                );
+            let cfg = config(frontend, subject.threads());
+            if let Err(d) = run_verify(&programs[..], cfg.clone(), checkpoint_every) {
+                // Minimize under the same verifier that failed: a
+                // checkpoint-specific bug would vanish under the plain one.
+                let fails = |_: &[bool], ps: &[Program]| {
+                    run_verify(ps, cfg.clone(), checkpoint_every).err()
+                };
+                return (runs, Some(minimize(subject, frontend, &d, trace, fails)));
             }
         }
     }
     (runs, None)
 }
 
-/// Shrinks the failing plan under the failing (policy, threads) point and
-/// formats the repro report.
+/// Shrinks a failing subject to a mask under which `fails` (given the
+/// mask and its lowering) still reports a divergence, and formats the
+/// repro report.
 fn minimize(
-    plan: &Plan,
+    subject: &dyn Subject,
     frontend: FrontEnd,
-    threads: usize,
-    original: &smt_oracle::Divergence,
+    original: &Divergence,
     trace: bool,
-    checkpoint_every: Option<u64>,
+    fails: impl Fn(&[bool], &[Program]) -> Option<Box<Divergence>>,
 ) -> Failure {
-    // Minimize under the same verifier that failed: a checkpoint-specific
-    // bug would vanish under the plain one.
-    let mask = shrink::minimize(plan.mask_len(), |mask| {
-        plan.build(mask, threads)
-            .is_ok_and(|p| run_verify(&p, config(frontend, threads), checkpoint_every).is_err())
+    let mask = shrink::minimize(subject.mask_len(), |mask| {
+        subject
+            .lower(mask)
+            .is_ok_and(|ps| fails(mask, &ps).is_some())
     });
-    let minimized = plan
-        .build(&mask, threads)
+    let minimized = subject
+        .lower(&mask)
         .expect("minimizer only keeps buildable masks");
-    let divergence = match run_verify(&minimized, config(frontend, threads), checkpoint_every) {
-        Err(d) => *d,
-        // The minimizer's last accepted mask failed moments ago; a pass here
-        // would mean nondeterminism, which is itself worth reporting loudly.
-        Ok(_) => original.clone(),
-    };
-    let mask_bits: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
-    let mut listing = String::new();
-    for (pc, insn) in minimized.text().iter().enumerate() {
-        listing.push_str(&format!("    {pc:4}: {insn}\n"));
-    }
-    let window = if trace {
-        lifecycle_window(&minimized, frontend, threads, divergence.cycle)
-    } else {
-        String::new()
-    };
-    let report = format!(
-        "seed {seed} diverges under {frontend} with {threads} thread(s)\n\
-         minimized mask: {mask_bits}  ({desc})\n\
-         repro: Plan::generate({seed}, &GenConfig::default()).build(&mask, {threads})\n\
-         {divergence}\n\
-         minimized program ({len} instructions):\n{listing}{window}",
-        seed = plan.seed,
-        desc = plan.describe(&mask),
-        len = minimized.text().len(),
-    );
-    Failure {
-        seed: plan.seed,
-        frontend,
-        threads,
-        report,
-    }
-}
-
-/// Shrinks a failing mix under its failing front end: the minimizer works
-/// on the concatenation of the per-slot masks, so segments vanish from
-/// every thread's program at once until only the interacting parts remain.
-fn minimize_mix(
-    mix: &MixPlan,
-    frontend: FrontEnd,
-    original: &smt_oracle::Divergence,
-    trace: bool,
-    checkpoint_every: Option<u64>,
-) -> Failure {
-    let threads = mix.plans.len();
-    let mask = shrink::minimize(mix.mask_len(), |mask| {
-        mix.build(mask).is_ok_and(|ps| {
-            run_verify(&ps[..], config(frontend, threads), checkpoint_every).is_err()
-        })
-    });
-    let minimized = mix
-        .build(&mask)
-        .expect("minimizer only keeps buildable masks");
-    let divergence = match run_verify(&minimized[..], config(frontend, threads), checkpoint_every) {
-        Err(d) => *d,
-        Ok(_) => original.clone(),
-    };
-    let mask_bits: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
-    let mut listing = String::new();
-    for (slot, p) in minimized.iter().enumerate() {
-        listing.push_str(&format!(
-            "  thread {slot} program ({} instructions):\n",
-            p.text().len()
-        ));
-        for (pc, insn) in p.text().iter().enumerate() {
-            listing.push_str(&format!("    {pc:4}: {insn}\n"));
-        }
-    }
+    // The minimizer's last accepted mask failed moments ago; a pass here
+    // would mean nondeterminism, which is itself worth reporting loudly.
+    let divergence = fails(&mask, &minimized).map_or_else(|| original.clone(), |d| *d);
+    let (seed, threads) = (subject.seed(), subject.threads());
     let window = if trace {
         lifecycle_window(&minimized[..], frontend, threads, divergence.cycle)
     } else {
         String::new()
     };
     let report = format!(
-        "seed {seed} (heterogeneous mix) diverges under {frontend} with {threads} thread(s)\n\
-         minimized concatenated mask: {mask_bits}  ({desc})\n\
-         repro: MixPlan::generate({seed}, {threads}, &GenConfig::default()).build(&mask)\n\
+        "seed {seed} diverges under {frontend} with {threads} thread(s)\n\
+         minimized mask: {mask_bits}  ({desc})\n\
+         repro: {repro}\n\
          {divergence}\n{listing}{window}",
-        seed = mix.seed,
-        desc = mix.describe(&mask),
+        mask_bits = mask
+            .iter()
+            .map(|&b| if b { '1' } else { '0' })
+            .collect::<String>(),
+        desc = subject.describe(&mask),
+        repro = subject.repro(),
+        listing = listing(&minimized),
     );
     Failure {
-        seed: mix.seed,
+        seed,
         frontend,
         threads,
         report,
     }
+}
+
+/// The disassembly of every program, one block per tenant.
+fn listing(programs: &[Program]) -> String {
+    let mut out = String::new();
+    for (tenant, p) in programs.iter().enumerate() {
+        out.push_str(&format!(
+            "  tenant {tenant} program ({} instructions):\n",
+            p.text().len()
+        ));
+        for (pc, insn) in p.text().iter().enumerate() {
+            out.push_str(&format!("    {pc:4}: {insn}\n"));
+        }
+    }
+    out
 }
 
 fn main() {
@@ -422,4 +449,76 @@ fn main() {
     }
     eprintln!("fuzz: {} diverging seed(s)", failures.len());
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smt_oracle::DivergenceKind;
+
+    /// Plants the failure "diverges while segment `k` is enabled": the
+    /// minimizer must shrink `subject` to exactly that segment, print the
+    /// subject's repro call, and print a mask that `rebuild` (the repro
+    /// call) turns into the printed program(s).
+    fn shrinks_to_planted_segment(
+        subject: &dyn Subject,
+        k: usize,
+        rebuild: impl Fn(&[bool]) -> Vec<Program>,
+    ) {
+        let planted = Divergence {
+            seqno: 0,
+            cycle: 0,
+            block: 0,
+            tid: 0,
+            pc: 0,
+            disasm: String::new(),
+            kind: DivergenceKind::Harness("planted".into()),
+        };
+        let fails = |mask: &[bool], _: &[Program]| mask[k].then(|| Box::new(planted.clone()));
+        let report = minimize(subject, FRONTENDS[0], &planted, false, fails).report;
+
+        let mut only_k = vec![false; subject.mask_len()];
+        only_k[k] = true;
+        let printed: Vec<bool> = report
+            .lines()
+            .find_map(|l| l.strip_prefix("minimized mask: "))
+            .and_then(|rest| rest.split_whitespace().next())
+            .expect("report prints the mask")
+            .chars()
+            .map(|c| c == '1')
+            .collect();
+        assert_eq!(printed, only_k, "{report}");
+        assert!(
+            report.contains(&format!("repro: {}\n", subject.repro())),
+            "{report}"
+        );
+        assert!(report.contains("harness: planted"), "{report}");
+        assert!(report.contains(&listing(&rebuild(&printed))), "{report}");
+    }
+
+    #[test]
+    fn minimizer_shrinks_a_plan_to_the_planted_segment() {
+        let plan = Plan::generate(7, &GenConfig::default());
+        let subject = Spmd {
+            plan: &plan,
+            threads: 2,
+        };
+        shrinks_to_planted_segment(&subject, 1, |mask| {
+            vec![Plan::generate(7, &GenConfig::default())
+                .build(mask, 2)
+                .unwrap()]
+        });
+    }
+
+    #[test]
+    fn minimizer_shrinks_a_mix_to_the_planted_segment() {
+        let mix = MixPlan::generate(7, 2, &GenConfig::default());
+        // A segment of thread 1's program, past thread 0's mask.
+        let k = mix.plans[0].mask_len() + 1;
+        shrinks_to_planted_segment(&mix, k, |mask| {
+            MixPlan::generate(7, 2, &GenConfig::default())
+                .build(mask)
+                .unwrap()
+        });
+    }
 }

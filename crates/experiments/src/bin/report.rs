@@ -46,6 +46,7 @@ fn main() {
         || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         |n| n.parse().expect("--workers takes a positive integer"),
     );
+    assert!(workers > 0, "--workers takes a positive integer");
 
     let start = Instant::now();
     // Recording pass: collect every simulation the generators demand.
@@ -96,7 +97,7 @@ fn main() {
     }
     if let Some(path) = perf_path {
         let perf = json::object_to_json(&[
-            ("scale", Cell::Text(format!("{scale:?}"))),
+            ("scale", Cell::Text(Scale::SPELLINGS.display(scale).into())),
             ("workers", Cell::Int(workers as u64)),
             ("simulations", Cell::Int(runner.runs())),
             ("simulated_cycles", Cell::Int(cycles)),

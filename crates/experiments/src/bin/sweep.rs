@@ -20,8 +20,8 @@
 //! ```
 //!
 //! `--grid hetero` sweeps corpus kernels and heterogeneous per-thread
-//! mixes; it loads the workload corpus from `corpus/` unless `--corpus
-//! <dir>` points elsewhere.
+//! mixes; it loads the workload corpus from `corpus/` unless
+//! `--corpus <dir>` points elsewhere.
 //!
 //! `--search <workload>` switches from exhaustive sweeping to the
 //! deterministic Pareto search: seeded hill climbing over the
@@ -60,11 +60,9 @@ fn main() {
         Some("hetero") => Grid::hetero(),
         Some(other) => panic!("--grid takes smoke|paper|frontend|hetero, not {other}"),
     };
-    let scale = match flag_value(&args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        Some(other) => panic!("--scale takes test|paper, not {other}"),
-    };
+    let scale: Scale = flag_value(&args, "--scale")
+        .map_or(Ok(Scale::Test), |s| s.parse())
+        .unwrap_or_else(|e| panic!("--scale: {e}"));
     let mut opts = SweepOptions {
         scale,
         ..SweepOptions::default()

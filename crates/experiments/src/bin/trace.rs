@@ -68,11 +68,7 @@ fn main() {
         s.parse()
             .unwrap_or_else(|_| die("--threads takes a positive integer"))
     });
-    let scale = match flag_value(&args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        Some(other) => die(&format!("unknown scale `{other}` (expected test or paper)")),
-    };
+    let scale = enum_flag(&args, "--scale", Scale::Test);
     let window = flag_value(&args, "--window").map(|s| parse_window(&s));
     let format = flag_value(&args, "--format").unwrap_or_else(|| "cpistack".into());
     if !matches!(format.as_str(), "konata" | "chrome" | "cpistack") {

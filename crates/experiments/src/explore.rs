@@ -144,9 +144,9 @@ impl SearchSpace {
         }
     }
 
-    /// The axes in engine form, in the fixed order [`spec_at`]
-    /// (Self::spec_at) consumes: policy, predictor, fetch ports, fetch
-    /// width, SU depth, cache, speculation depth.
+    /// The axes in engine form, in the fixed order
+    /// [`spec_at`](Self::spec_at) consumes: policy, predictor, fetch
+    /// ports, fetch width, SU depth, cache, speculation depth.
     #[must_use]
     pub fn axes(&self) -> Vec<Axis> {
         let nums = |name: &str, v: &[usize]| Axis {

@@ -14,7 +14,7 @@
 //! values over any `Read`/`Write` (in practice a `TcpStream`), enforcing
 //! those limits on the way in.
 //!
-//! Byte-identity note: numbers are serialized by [`float_into`] in the
+//! Byte-identity note: numbers are serialized by `float_into` in the
 //! shortest round-trip form and parsed back with Rust's correctly rounded
 //! `str::parse`, so a float that travels `write → parse → write` is
 //! byte-identical — the property the sweep server relies on to serve

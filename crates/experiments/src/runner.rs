@@ -278,9 +278,10 @@ impl Runner {
         self.run(key).cycles
     }
 
-    /// Runs (or recalls) the simulation at `key` with a [`CpiStack`]
-    /// attached, returning the slot-bandwidth attribution. Memoized apart
-    /// from [`Runner::run`] at the same key: each is its own job.
+    /// Runs (or recalls) the simulation at `key` with a
+    /// [`CpiStack`](smt_trace::CpiStack) attached, returning the
+    /// slot-bandwidth attribution. Memoized apart from [`Runner::run`] at
+    /// the same key: each is its own job.
     ///
     /// # Panics
     ///

@@ -24,7 +24,7 @@
 //!
 //! Every simulation in the crate — a sweep cell, a served cell, a
 //! warm-forked search point, a report figure's run — goes through one
-//! loop: [`Programs::run_and_verify`] steps the machine in
+//! loop: `Programs::run_and_verify` steps the machine in
 //! [`TICK_QUANTUM`]-cycle quanta, then verifies its architectural answer.
 //! Cells add one producer around it ([`Scheduler::run_cell`]): probe the
 //! store, check lowering and feasibility, start the machine (restored from
@@ -794,19 +794,13 @@ impl Programs {
         }
     }
 
-    /// Verifies the architectural answer of a finished run of `work`. A
-    /// mix verifies every tenant against its own address-space segment,
-    /// exactly as if it had run alone.
+    /// Verifies the architectural answer of a finished run of `work`:
+    /// every tenant against its own data segment, exactly as if it had
+    /// run alone.
     fn verify(&self, work: &WorkSpec, sim: &Simulator<'_>) -> Result<(), String> {
-        let words = sim.memory().words();
-        if !work.is_mix() {
-            return self.check_ref(&work.refs()[0], words);
-        }
-        for (tid, r) in work.refs().iter().enumerate() {
-            let (base, span) = sim.thread_segment(tid);
-            let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
-            self.check_ref(r, local)
-                .map_err(|e| format!("thread {tid}: {e}"))?;
+        for (tenant, r) in sim.tenants().iter().zip(work.refs()) {
+            self.check_ref(r, tenant.segment(sim.memory()))
+                .map_err(|e| format!("threads {:?}: {e}", tenant.threads))?;
         }
         Ok(())
     }
@@ -1022,7 +1016,7 @@ pub(crate) fn load_record(
     .then_some(rec)
 }
 
-/// The progress-tick and watchdog quantum: [`Programs::run_and_verify`]
+/// The progress-tick and watchdog quantum: `Programs::run_and_verify`
 /// stops at every multiple of this many cycles to check the watchdog and
 /// let a cell emit a [`ProgressTick`]. Large enough that a stop is free
 /// against the per-cycle simulation cost, small enough that live

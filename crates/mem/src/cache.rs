@@ -351,7 +351,7 @@ impl DataCache {
     }
 
     /// Serializes replacement state, in-flight refills (in slot order —
-    /// [`settle`](Self::settle) installs same-set lines in `refills` order,
+    /// `settle` installs same-set lines in `refills` order,
     /// so the order is architecturally visible through LRU state), and
     /// statistics. Geometry is not serialized; it comes from the config at
     /// restore time.

@@ -18,8 +18,8 @@
 //! * **fault identity** (kind, address, and pc of a memory fault raised at
 //!   commit or at a non-speculative issue).
 //!
-//! After a clean run the final register file, memory image, and per-thread
-//! retirement counts are cross-checked too.
+//! After a clean run each tenant's final register windows, memory
+//! segment, and per-thread retirement counts are cross-checked too.
 //!
 //! What is intentionally **not** compared: anything about *timing* (cycle
 //! counts, issue order, commit interleaving across threads — the
@@ -39,12 +39,12 @@
 use std::fmt;
 
 use smt_core::{
-    CommitSink, Observers, Retirement, SimConfig, SimError, SimStats, Simulator, Snapshot,
+    CommitSink, Observers, Retirement, SimConfig, SimError, SimStats, Simulator, Snapshot, Tenant,
     ThreadPrograms,
 };
 use smt_isa::interp::{Interp, InterpError, Progress};
 use smt_isa::semantics::effective_addr;
-use smt_isa::{Opcode, Program, Reg, WORD_BYTES};
+use smt_isa::{Opcode, Program, Reg};
 use smt_mem::MemError;
 
 /// How a retirement disagreed with the reference interpreter.
@@ -174,13 +174,22 @@ pub struct Report {
     pub fault: Option<(usize, usize)>,
 }
 
-/// The lockstep oracle. Attach to a run as the commit sink of
+/// The lockstep oracle over a machine's [`Tenant`] table: one reference
+/// interpreter per tenant, running the tenant's program on as many
+/// threads as it owns — exactly the tenant's architectural contract. A
+/// retirement is localized to its tenant (thread id relative to the
+/// tenant's first thread, store address relative to its data segment)
+/// before it is diffed; memory faults already carry tenant-local
+/// addresses. Attach to a run as the commit sink of
 /// [`Simulator::run_with`], or use [`verify`] for the whole
 /// run-and-diff workflow.
 #[derive(Debug)]
 pub struct Oracle<'p> {
-    interp: Interp<'p>,
-    program: &'p Program,
+    /// Each tenant, copied when the oracle is built (so the machine may
+    /// be replaced by a restored copy mid-run), with its reference.
+    refs: Vec<(Tenant<'p>, Interp<'p>)>,
+    /// Per hardware thread, the index of its tenant in `refs`.
+    tenant_of: Vec<usize>,
     /// How many interpreter steps to search for an expected fault. The
     /// faulting instruction trails the last emitted retirement by at most
     /// the scheduling unit's capacity (its block may commit behind done
@@ -192,14 +201,21 @@ pub struct Oracle<'p> {
 }
 
 impl<'p> Oracle<'p> {
-    /// Creates an oracle for a `threads`-thread run of `program`.
-    /// `fault_bound` should be at least the scheduling-unit depth (use
-    /// `config.su_depth`).
+    /// Creates an oracle for a machine of `tenants` (see
+    /// [`Simulator::tenants`]). `fault_bound` should be at least the
+    /// scheduling-unit depth (use `config.su_depth`).
     #[must_use]
-    pub fn new(program: &'p Program, threads: usize, fault_bound: usize) -> Self {
+    pub fn new(tenants: &[Tenant<'p>], fault_bound: usize) -> Self {
         Oracle {
-            interp: Interp::new(program, threads),
-            program,
+            refs: tenants
+                .iter()
+                .map(|t| (t.clone(), Interp::new(t.program, t.threads.len())))
+                .collect(),
+            tenant_of: tenants
+                .iter()
+                .enumerate()
+                .flat_map(|(i, t)| t.threads.clone().map(move |_| i))
+                .collect(),
             fault_bound: fault_bound.max(4),
             seqno: 0,
             divergence: None,
@@ -213,23 +229,18 @@ impl<'p> Oracle<'p> {
         self.divergence.as_deref()
     }
 
-    /// The reference interpreter (for end-of-run state comparison).
-    #[must_use]
-    pub fn interp(&self) -> &Interp<'p> {
-        &self.interp
-    }
-
     fn diverge(&mut self, r: &Retirement, kind: DivergenceKind) {
         if self.divergence.is_some() {
             return;
         }
+        let program = self.refs[self.tenant_of[r.tid]].0.program;
         self.divergence = Some(Box::new(Divergence {
             seqno: self.seqno,
             cycle: r.cycle,
             block: r.block,
             tid: r.tid,
             pc: r.pc,
-            disasm: context_disasm(self.program, r.pc),
+            disasm: context_disasm(program, r.pc),
             kind,
         }));
     }
@@ -242,6 +253,10 @@ impl<'p> Oracle<'p> {
         if self.divergence.is_some() || self.confirmed_fault.is_some() {
             return;
         }
+        let Some(kind) = self.step_to_fault(tid, pc, fault) else {
+            self.confirmed_fault = Some((tid, pc));
+            return;
+        };
         let template = Retirement {
             cycle: 0,
             block: 0,
@@ -252,134 +267,157 @@ impl<'p> Oracle<'p> {
             mem: None,
             fault: Some(fault),
         };
-        // The faulting instruction may trail the last emitted retirement:
-        // older same-thread instructions can be done but uncommitted when a
-        // non-speculative sync op faults at issue, and a commit fault skips
-        // the healthy leading entries of its own block. Walk the reference
-        // forward until it faults too.
+        self.diverge(&template, kind);
+    }
+
+    /// Walks thread `tid`'s reference forward until it faults too: the
+    /// faulting instruction may trail the last emitted retirement, as
+    /// older same-thread instructions can be done but uncommitted when a
+    /// non-speculative sync op faults at issue, and a commit fault skips
+    /// the healthy leading entries of its own block. Returns how the
+    /// reference disagreed, or `None` when it faulted identically.
+    fn step_to_fault(&mut self, tid: usize, pc: usize, fault: MemError) -> Option<DivergenceKind> {
+        let (tenant, interp) = &mut self.refs[self.tenant_of[tid]];
+        let local = tid - tenant.threads.start;
         for _ in 0..self.fault_bound {
-            if self.interp.is_halted(tid) {
+            if interp.is_halted(local) {
                 break;
             }
-            match self.interp.step_thread(tid) {
+            match interp.step_thread(local) {
                 Ok(Progress::Stepped) => {}
                 Ok(Progress::Blocked | Progress::Halted) => break,
                 Err(reference) => {
-                    if faults_match(fault, tid, pc, reference) {
-                        self.confirmed_fault = Some((tid, pc));
-                    } else {
-                        self.diverge(
-                            &template,
-                            DivergenceKind::FaultMismatch {
-                                sim: fault,
-                                reference,
-                            },
-                        );
-                    }
-                    return;
+                    return (!faults_match(fault, local, pc, reference)).then_some(
+                        DivergenceKind::FaultMismatch {
+                            sim: fault,
+                            reference,
+                        },
+                    );
                 }
             }
         }
-        self.diverge(&template, DivergenceKind::MissingFault { fault });
+        Some(DivergenceKind::MissingFault { fault })
     }
 
     fn check(&mut self, r: &Retirement) {
         if let Some(fault) = r.fault {
             self.expect_fault(r.tid, r.pc, fault);
-            return;
+        } else if let Some(kind) = self.diff(r) {
+            self.diverge(r, kind);
         }
-        if self.interp.is_halted(r.tid) {
-            self.diverge(r, DivergenceKind::AfterHalt);
-            return;
+    }
+
+    /// Replays a fault-free retirement on its tenant's reference and
+    /// returns what disagreed, if anything.
+    fn diff(&mut self, r: &Retirement) -> Option<DivergenceKind> {
+        let (tenant, interp) = &mut self.refs[self.tenant_of[r.tid]];
+        let tid = r.tid - tenant.threads.start;
+        if interp.is_halted(tid) {
+            return Some(DivergenceKind::AfterHalt);
         }
-        let reference_pc = self.interp.thread_pc(r.tid);
+        let reference_pc = interp.thread_pc(tid);
         if reference_pc != r.pc {
-            self.diverge(
-                r,
-                DivergenceKind::Pc {
-                    reference: reference_pc,
-                },
-            );
-            return;
+            return Some(DivergenceKind::Pc {
+                reference: reference_pc,
+            });
         }
         // Stores: derive the reference address/data from the *pre-step*
         // register state, then compare against what the machine released to
         // its store buffer.
         if r.op() == Opcode::Sd {
-            let insn = self
+            let insn = tenant
                 .program
                 .fetch(r.pc)
                 .expect("retired pc is inside the text segment");
-            let base = self.interp.reg(r.tid, insn.rs1);
+            let base = interp.reg(tid, insn.rs1);
             let reference_addr = effective_addr(base, insn.imm);
-            let reference_data = self.interp.reg(r.tid, insn.rs2);
+            let reference_data = interp.reg(tid, insn.rs2);
             let (sim_addr, sim_data) = r.mem.expect("store retirement carries its access");
+            // Wrapping subtraction keeps a store below the tenant's
+            // segment unequal to every tenant-local address.
+            let sim_addr = sim_addr.wrapping_sub(tenant.base);
             if sim_addr != reference_addr {
-                self.diverge(
-                    r,
-                    DivergenceKind::StoreAddr {
-                        sim: sim_addr,
-                        reference: reference_addr,
-                    },
-                );
-                return;
+                return Some(DivergenceKind::StoreAddr {
+                    sim: sim_addr,
+                    reference: reference_addr,
+                });
             }
             if sim_data != reference_data {
-                self.diverge(
-                    r,
-                    DivergenceKind::StoreData {
-                        sim: sim_data,
-                        reference: reference_data,
-                    },
-                );
-                return;
+                return Some(DivergenceKind::StoreData {
+                    sim: sim_data,
+                    reference: reference_data,
+                });
             }
         }
-        match self.interp.step_thread(r.tid) {
+        match interp.step_thread(tid) {
             Ok(Progress::Stepped) => {}
             Ok(Progress::Halted) => {
                 if r.op() != Opcode::Halt {
-                    self.diverge(
-                        r,
-                        DivergenceKind::Reference("halted on a non-halt retirement".into()),
-                    );
-                    return;
+                    return Some(DivergenceKind::Reference(
+                        "halted on a non-halt retirement".into(),
+                    ));
                 }
             }
             Ok(Progress::Blocked) => {
-                if r.op() == Opcode::Wait {
-                    // The machine observed the flag satisfied (a POST that
-                    // has executed but not yet retired) — legal; accept.
-                    self.interp.retire_wait_satisfied(r.tid);
-                } else {
-                    self.diverge(
-                        r,
-                        DivergenceKind::Reference("blocked on a non-wait retirement".into()),
-                    );
-                    return;
+                if r.op() != Opcode::Wait {
+                    return Some(DivergenceKind::Reference(
+                        "blocked on a non-wait retirement".into(),
+                    ));
                 }
+                // The machine observed the flag satisfied (a POST that
+                // has executed but not yet retired) — legal; accept.
+                interp.retire_wait_satisfied(tid);
             }
             Err(e) => {
-                self.diverge(
-                    r,
-                    DivergenceKind::Reference(format!("faulted where the sim retired: {e}")),
-                );
-                return;
+                return Some(DivergenceKind::Reference(format!(
+                    "faulted where the sim retired: {e}"
+                )));
             }
         }
-        if let Some((reg, sim_value)) = r.dest {
-            let reference = self.interp.reg(r.tid, reg);
-            if reference != sim_value {
-                self.diverge(
-                    r,
-                    DivergenceKind::Dest {
-                        reg,
-                        sim: sim_value,
-                        reference,
-                    },
-                );
+        let (reg, sim) = r.dest?;
+        let reference = interp.reg(tid, reg);
+        (reference != sim).then_some(DivergenceKind::Dest {
+            reg,
+            sim,
+            reference,
+        })
+    }
+
+    /// The end-of-run diff of a clean run, per tenant against its own
+    /// reference: every thread halted, its retirement count and register
+    /// window, then the tenant's memory segment. Returns the first
+    /// offending thread and what differs.
+    fn final_state(&self, sim: &Simulator<'_>, stats: &SimStats) -> Option<(usize, String)> {
+        let window = sim.reg_file().len() / sim.config().threads;
+        for (tenant, interp) in &self.refs {
+            let local_window = interp.reg_file().len() / tenant.threads.len();
+            for (local, tid) in tenant.threads.clone().enumerate() {
+                let (sim_count, reference_count) =
+                    (stats.committed[tid], interp.retired_counts()[local]);
+                let sim_regs = &sim.reg_file()[tid * window..][..window];
+                let reference_regs = &interp.reg_file()[local * local_window..][..window];
+                let what = if !interp.is_halted(local) {
+                    "its reference has not halted".to_string()
+                } else if sim_count != reference_count {
+                    format!(
+                        "retirement counts differ: sim {sim_count}, reference {reference_count}"
+                    )
+                } else if sim_regs != reference_regs {
+                    "register windows differ".to_string()
+                } else {
+                    continue;
+                };
+                return Some((tid, format!("thread {tid}: {what}")));
+            }
+            if tenant.segment(sim.memory()) != interp.mem_words() {
+                let tid = tenant.threads.start;
+                return Some((
+                    tid,
+                    format!("threads {:?}: memory segments differ", tenant.threads),
+                ));
             }
         }
+        None
     }
 }
 
@@ -432,10 +470,9 @@ fn context_disasm(program: &Program, pc: usize) -> String {
 /// Runs `programs` under `config` with the oracle attached and returns
 /// the run summary, or the first divergence. `programs` is one program
 /// every thread shares or a mix of one per thread (see
-/// [`ThreadPrograms`]); a mix runs under a [`MixOracle`], which checks
-/// each thread's commit stream, final register window, memory segment,
-/// and retirement count against a solo 1-thread reference run of its own
-/// program.
+/// [`ThreadPrograms`]); either way each [`Tenant`]'s commit stream, final
+/// register windows, memory segment and retirement counts are checked
+/// against a reference run of its own program on its own threads.
 ///
 /// A memory fault is *not* a divergence when the reference faults
 /// identically (same kind, address, thread, and pc) — the report then
@@ -479,8 +516,8 @@ pub fn verify_with_checkpoints<'p>(
     verify_spliced(programs.into(), config, Some(every))
 }
 
-/// The body of [`verify`] and [`verify_with_checkpoints`]: picks the
-/// oracle the machine's form needs, runs, and diffs the final state.
+/// The body of [`verify`] and [`verify_with_checkpoints`]: builds the
+/// machine and its oracle, runs, and diffs the final state.
 fn verify_spliced(
     programs: ThreadPrograms<'_>,
     config: SimConfig,
@@ -489,18 +526,9 @@ fn verify_spliced(
     let fault_bound = config.su_depth;
     let mut sim = Simulator::try_new(config, programs.clone())
         .map_err(|e| harness_divergence(e.to_string()))?;
-    let threads = sim.config().threads;
-    if sim.is_multiprogram() {
-        let mix: Vec<&Program> = (0..threads).map(|t| sim.program_of(t)).collect();
-        let bases: Vec<u64> = (0..threads).map(|t| sim.thread_segment(t).0).collect();
-        let mut oracle = MixOracle::new(&mix, &bases, fault_bound);
-        let outcome = run_spliced(&mut sim, &programs, &mut oracle, every)?;
-        conclude_mix(&sim, oracle, outcome)
-    } else {
-        let mut oracle = Oracle::new(sim.program_of(0), threads, fault_bound);
-        let outcome = run_spliced(&mut sim, &programs, &mut oracle, every)?;
-        conclude(&sim, oracle, outcome)
-    }
+    let mut oracle = Oracle::new(sim.tenants(), fault_bound);
+    let outcome = run_spliced(&mut sim, &programs, &mut oracle, every)?;
+    conclude(&sim, oracle, outcome)
 }
 
 /// Runs `sim` to completion under `sink`, replacing the machine by its
@@ -542,188 +570,6 @@ fn run_spliced<'p>(
     }
 }
 
-/// Lockstep oracle for a heterogeneous program mix: one reference
-/// interpreter per hardware thread, each running its own program as a
-/// 1-thread machine — exactly the mix's architectural contract. Store
-/// addresses are localized (the machine's flat backing memory is global;
-/// each reference speaks thread-local addresses) before comparison;
-/// memory faults already carry thread-local addresses by construction.
-#[derive(Debug)]
-pub struct MixOracle<'p> {
-    /// One per-thread oracle, each over a 1-thread interpreter. Thread
-    /// `tid`'s retirements are localized and replayed on `oracles[tid]`.
-    oracles: Vec<Oracle<'p>>,
-    /// Per-thread byte offset of the thread's data segment in the flat
-    /// backing memory ([`Simulator::thread_segment`]).
-    bases: Vec<u64>,
-    seqno: u64,
-    divergence: Option<Box<Divergence>>,
-    confirmed_fault: Option<(usize, usize)>,
-}
-
-impl<'p> MixOracle<'p> {
-    /// Creates a mix oracle: `programs[tid]` runs on thread `tid`, whose
-    /// data segment starts `bases[tid]` bytes into the flat memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `programs` and `bases` disagree in length.
-    #[must_use]
-    pub fn new(programs: &[&'p Program], bases: &[u64], fault_bound: usize) -> Self {
-        assert_eq!(
-            programs.len(),
-            bases.len(),
-            "one memory base per mix program"
-        );
-        MixOracle {
-            oracles: programs
-                .iter()
-                .map(|p| Oracle::new(p, 1, fault_bound))
-                .collect(),
-            bases: bases.to_vec(),
-            seqno: 0,
-            divergence: None,
-            confirmed_fault: None,
-        }
-    }
-
-    /// The first divergence observed, if any.
-    #[must_use]
-    pub fn divergence(&self) -> Option<&Divergence> {
-        self.divergence.as_deref()
-    }
-
-    /// Thread `tid`'s reference interpreter.
-    #[must_use]
-    pub fn interp(&self, tid: usize) -> &Interp<'p> {
-        self.oracles[tid].interp()
-    }
-
-    /// Expects thread `tid`'s reference to fault like the machine did
-    /// (see [`Oracle::expect_fault`]). The fault's address is
-    /// thread-local on both sides.
-    pub fn expect_fault(&mut self, tid: usize, pc: usize, fault: MemError) {
-        if self.divergence.is_some() || self.confirmed_fault.is_some() {
-            return;
-        }
-        self.oracles[tid].expect_fault(0, pc, fault);
-        self.reap(tid);
-    }
-
-    /// Lifts thread `tid`'s inner oracle verdicts (divergence, confirmed
-    /// fault) into the mix-level state, restoring the global thread id
-    /// and stream position.
-    fn reap(&mut self, tid: usize) {
-        if let Some((_, pc)) = self.oracles[tid].confirmed_fault.take() {
-            self.confirmed_fault = Some((tid, pc));
-        }
-        if self.divergence.is_some() {
-            return;
-        }
-        if let Some(mut d) = self.oracles[tid].divergence.take() {
-            d.tid = tid;
-            d.seqno = self.seqno;
-            self.divergence = Some(d);
-        }
-    }
-}
-
-impl CommitSink for MixOracle<'_> {
-    fn retired(&mut self, r: &Retirement) {
-        if self.divergence.is_none() {
-            let mut local = *r;
-            local.tid = 0;
-            if let Some((addr, data)) = local.mem {
-                // Wrapping subtraction keeps a cross-segment store (a
-                // global address below this thread's base) unequal to
-                // every thread-local address instead of panicking.
-                local.mem = Some((addr.wrapping_sub(self.bases[r.tid]), data));
-            }
-            self.oracles[r.tid].check(&local);
-            self.reap(r.tid);
-        }
-        self.seqno += 1;
-    }
-}
-
-/// Mix counterpart of [`conclude`]: the final-state diff runs per
-/// thread, against each thread's own reference — its register window,
-/// its memory segment, its retirement count.
-fn conclude_mix(
-    sim: &Simulator<'_>,
-    mut oracle: MixOracle<'_>,
-    outcome: Result<SimStats, SimError>,
-) -> Result<Report, Box<Divergence>> {
-    match outcome {
-        Ok(stats) => {
-            if let Some(d) = oracle.divergence.take() {
-                return Err(d);
-            }
-            let threads = oracle.oracles.len();
-            let window = sim.reg_file().len() / threads;
-            let mut final_state_error = None;
-            for (tid, o) in oracle.oracles.iter().enumerate() {
-                let interp = o.interp();
-                let (base, span) = sim.thread_segment(tid);
-                let lo = (base / WORD_BYTES) as usize;
-                let hi = lo + (span / WORD_BYTES) as usize;
-                if !interp.finished() {
-                    final_state_error = Some(format!("thread {tid}: its reference has not halted"));
-                } else if stats.committed[tid] != interp.retired_counts().iter().sum::<u64>() {
-                    final_state_error = Some(format!(
-                        "thread {tid}: retirement counts differ: sim {}, reference {}",
-                        stats.committed[tid],
-                        interp.retired_counts().iter().sum::<u64>()
-                    ));
-                } else if sim.reg_file()[tid * window..(tid + 1) * window]
-                    != interp.reg_file()[..window]
-                {
-                    final_state_error = Some(format!("thread {tid}: register windows differ"));
-                } else if sim.memory().words()[lo..hi] != *interp.mem_words() {
-                    final_state_error = Some(format!("thread {tid}: memory segments differ"));
-                }
-                if final_state_error.is_some() {
-                    break;
-                }
-            }
-            if let Some(msg) = final_state_error {
-                return Err(Box::new(Divergence {
-                    seqno: oracle.seqno,
-                    cycle: stats.cycles,
-                    block: 0,
-                    tid: 0,
-                    pc: 0,
-                    disasm: String::new(),
-                    kind: DivergenceKind::FinalState(msg),
-                }));
-            }
-            Ok(Report {
-                cycles: stats.cycles,
-                instructions: stats.committed_total(),
-                fault: None,
-            })
-        }
-        Err(SimError::Mem { err, tid, pc }) => {
-            oracle.expect_fault(tid, pc, err);
-            if let Some(d) = oracle.divergence.take() {
-                return Err(d);
-            }
-            debug_assert_eq!(oracle.confirmed_fault, Some((tid, pc)));
-            Ok(Report {
-                cycles: sim.cycle(),
-                instructions: sim.stats().committed.iter().sum(),
-                fault: Some((tid, pc)),
-            })
-        }
-        Err(e) => {
-            if let Some(d) = oracle.divergence.take() {
-                return Err(d);
-            }
-            Err(harness_divergence(e.to_string()))
-        }
-    }
-}
-
 fn harness_divergence(msg: String) -> Box<Divergence> {
     Box::new(Divergence {
         seqno: 0,
@@ -749,27 +595,12 @@ fn conclude(
             if let Some(d) = oracle.divergence.take() {
                 return Err(d);
             }
-            let final_state_error = if !oracle.interp.finished() {
-                Some("sim finished but reference threads have not halted".to_string())
-            } else if stats.committed != oracle.interp.retired_counts() {
-                Some(format!(
-                    "per-thread retirement counts differ: sim {:?}, reference {:?}",
-                    stats.committed,
-                    oracle.interp.retired_counts()
-                ))
-            } else if sim.reg_file() != oracle.interp.reg_file() {
-                Some("final register files differ".to_string())
-            } else if sim.memory().words() != oracle.interp.mem_words() {
-                Some("final memory images differ".to_string())
-            } else {
-                None
-            };
-            if let Some(msg) = final_state_error {
+            if let Some((tid, msg)) = oracle.final_state(sim, &stats) {
                 return Err(Box::new(Divergence {
                     seqno: oracle.seqno,
                     cycle: stats.cycles,
                     block: 0,
-                    tid: 0,
+                    tid,
                     pc: 0,
                     disasm: String::new(),
                     kind: DivergenceKind::FinalState(msg),
@@ -1007,18 +838,10 @@ mod tests {
         let b = blur_like_program();
         let config = SimConfig::default().with_threads(2);
         let mut sim = Simulator::try_new(config.clone(), &[&a, &b]).unwrap();
-        struct Capture(Vec<Retirement>);
-        impl CommitSink for Capture {
-            fn retired(&mut self, r: &Retirement) {
-                self.0.push(*r);
-            }
-        }
-        let mut cap = Capture(Vec::new());
-        sim.run_with(Observers::commits(&mut cap)).unwrap();
-        let bases = [sim.thread_segment(0).0, sim.thread_segment(1).0];
-        let mut o = MixOracle::new(&[&a, &b], &bases, 8);
+        let (_, stream) = capture(&mut sim);
+        let mut o = Oracle::new(sim.tenants(), 8);
         let mut corrupted = false;
-        for r in &cap.0 {
+        for r in &stream {
             let mut r = *r;
             if !corrupted && r.tid == 1 && r.op() == Opcode::Sd {
                 let (addr, data) = r.mem.unwrap();
@@ -1031,6 +854,61 @@ mod tests {
         let d = o.divergence().expect("aliased store detected");
         assert_eq!(d.tid, 1, "divergence names the corrupted thread");
         assert!(matches!(d.kind, DivergenceKind::StoreAddr { .. }));
+    }
+
+    /// Runs `sim` to the end and returns its stats and commit stream.
+    fn capture(sim: &mut Simulator<'_>) -> (SimStats, Vec<Retirement>) {
+        struct Capture(Vec<Retirement>);
+        impl CommitSink for Capture {
+            fn retired(&mut self, r: &Retirement) {
+                self.0.push(*r);
+            }
+        }
+        let mut cap = Capture(Vec::new());
+        let stats = sim.run_with(Observers::commits(&mut cap)).unwrap();
+        (stats, cap.0)
+    }
+
+    /// Replays `stream` on `sink` without thread `tid`'s last two
+    /// retirements (its final store and its halt).
+    fn replay_without_tail(sink: &mut dyn CommitSink, stream: &[Retirement], tid: usize) {
+        let mut skip = stream.iter().filter(|r| r.tid == tid).count() - 2;
+        for r in stream {
+            if r.tid == tid {
+                if skip == 0 {
+                    continue;
+                }
+                skip -= 1;
+            }
+            sink.retired(r);
+        }
+    }
+
+    #[test]
+    fn dropped_tail_fails_the_uniform_final_state_diff() {
+        let p = sum_program();
+        let mut sim = Simulator::new(SimConfig::default().with_threads(2), &p);
+        let (stats, stream) = capture(&mut sim);
+        let mut o = Oracle::new(sim.tenants(), 8);
+        replay_without_tail(&mut o, &stream, 1);
+        assert!(o.divergence().is_none(), "a clean prefix checks clean");
+        let d = conclude(&sim, o, Ok(stats)).expect_err("the dropped tail is caught");
+        assert!(matches!(d.kind, DivergenceKind::FinalState(_)), "{d}");
+    }
+
+    #[test]
+    fn dropped_tail_fails_the_mix_final_state_diff_and_names_the_thread() {
+        let a = sum_program();
+        let b = blur_like_program();
+        let mut sim = Simulator::try_new(SimConfig::default().with_threads(2), &[&a, &b]).unwrap();
+        let (stats, stream) = capture(&mut sim);
+        let mut o = Oracle::new(sim.tenants(), 8);
+        replay_without_tail(&mut o, &stream, 1);
+        assert!(o.divergence().is_none(), "a clean prefix checks clean");
+        let d = conclude(&sim, o, Ok(stats)).expect_err("the dropped tail is caught");
+        assert!(matches!(d.kind, DivergenceKind::FinalState(_)), "{d}");
+        assert!(d.to_string().contains("thread 1"), "{d}");
+        assert_eq!(d.tid, 1, "{d}");
     }
 
     /// Feeding the oracle a corrupted stream by hand proves each check
@@ -1060,8 +938,10 @@ mod tests {
             }
         };
 
+        let solo = Simulator::new(SimConfig::default().with_threads(1), &p);
+
         // Wrong pc: the reference is at the entry, stream claims pc 1.
-        let mut o = Oracle::new(&p, 1, 8);
+        let mut o = Oracle::new(solo.tenants(), 8);
         o.retired(&event(1, 5));
         assert!(matches!(
             o.divergence().unwrap().kind,
@@ -1069,7 +949,7 @@ mod tests {
         ));
 
         // Wrong dest value: the `addi` writes 5, stream claims 6.
-        let mut o = Oracle::new(&p, 1, 8);
+        let mut o = Oracle::new(solo.tenants(), 8);
         o.retired(&event(0, 0)); // lui v, 0 — correct
         assert!(o.divergence().is_none());
         o.retired(&event(1, 6));
@@ -1085,7 +965,7 @@ mod tests {
         assert!(d.to_string().contains("dest"));
 
         // Missing fault: stream claims a fault the reference won't raise.
-        let mut o = Oracle::new(&p, 1, 8);
+        let mut o = Oracle::new(solo.tenants(), 8);
         let mut e = event(0, 0);
         e.dest = None;
         e.fault = Some(MemError::OutOfBounds {
@@ -1112,16 +992,9 @@ mod tests {
         // Drive the reference to the store by replaying the real stream
         // prefix, then corrupt the store's address.
         let mut sim = Simulator::new(SimConfig::default().with_threads(1), &p);
-        struct Capture(Vec<Retirement>);
-        impl CommitSink for Capture {
-            fn retired(&mut self, r: &Retirement) {
-                self.0.push(*r);
-            }
-        }
-        let mut cap = Capture(Vec::new());
-        sim.run_with(Observers::commits(&mut cap)).unwrap();
-        let mut o = Oracle::new(&p, 1, 8);
-        for r in &cap.0 {
+        let (_, stream) = capture(&mut sim);
+        let mut o = Oracle::new(sim.tenants(), 8);
+        for r in &stream {
             let mut r = *r;
             if r.op() == Opcode::Sd {
                 let (addr, data) = r.mem.unwrap();

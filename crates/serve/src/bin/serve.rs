@@ -38,11 +38,9 @@ fn main() {
         flag_value(&args, "--store").expect("--store <dir> is required (the shared cell store)"),
     );
     let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let scale = match flag_value(&args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        Some(other) => panic!("--scale takes test|paper, not {other}"),
-    };
+    let scale: Scale = flag_value(&args, "--scale")
+        .map_or(Ok(Scale::Test), |s| s.parse())
+        .unwrap_or_else(|e| panic!("--scale: {e}"));
     let mut opts = SweepOptions {
         scale,
         ..SweepOptions::default()

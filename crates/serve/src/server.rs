@@ -329,10 +329,7 @@ fn respond(out: &mut TcpStream, shared: &Shared, req: Request) -> io::Result<boo
     match req {
         Request::Ping => {
             let opts = shared.sched.opts();
-            let scale = match opts.scale {
-                Scale::Test => "test",
-                Scale::Paper => "paper",
-            };
+            let scale = Scale::SPELLINGS.id(opts.scale);
             write_json_line(
                 out,
                 &Value::Object(vec![

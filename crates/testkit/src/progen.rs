@@ -2,7 +2,7 @@
 //!
 //! A [`Plan`] is the *concrete* random content of a test program — segment
 //! kinds, ALU step operands, memory slot choices, loop trip counts — drawn
-//! once from a seed-deterministic [`Rng`](crate::Rng). Lowering a plan to a
+//! once from a seed-deterministic [`Rng`]. Lowering a plan to a
 //! [`Program`] is a **pure function** of the plan, an enabled-segment mask,
 //! and a thread count ([`Plan::build`]). That split is what makes failures
 //! minimizable: the greedy minimizer in [`crate::shrink`] toggles mask

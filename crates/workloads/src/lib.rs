@@ -233,6 +233,37 @@ pub enum Scale {
     Paper,
 }
 
+impl Scale {
+    /// Every spelling of a problem size: the lower-case id the command
+    /// lines take, and the display name.
+    pub const SPELLINGS: Spellings<Scale> = Spellings {
+        what: "scale",
+        rows: &[
+            Spelling {
+                value: Scale::Test,
+                id: "test",
+                display: "Test",
+                aliases: &[],
+            },
+            Spelling {
+                value: Scale::Paper,
+                id: "paper",
+                display: "Paper",
+                aliases: &[],
+            },
+        ],
+    };
+}
+
+impl FromStr for Scale {
+    type Err = String;
+
+    /// Parses a problem size by its name, ignoring ASCII case.
+    fn from_str(s: &str) -> Result<Self, String> {
+        Self::SPELLINGS.parse(s)
+    }
+}
+
 type CheckFn = Box<dyn Fn(&[u64]) -> Result<(), CheckError> + Send + Sync>;
 
 /// A benchmark: emitted kernel code plus a result checker.
@@ -355,6 +386,16 @@ pub fn group_ii(scale: Scale) -> Vec<Workload> {
 mod tests {
     use super::*;
     use smt_isa::interp::Interp;
+
+    #[test]
+    fn scale_parses_through_its_spellings() {
+        assert_eq!("test".parse(), Ok(Scale::Test));
+        assert_eq!("PAPER".parse(), Ok(Scale::Paper));
+        assert_eq!(
+            "huge".parse::<Scale>().unwrap_err(),
+            "unknown scale `huge` (expected test|paper)"
+        );
+    }
 
     #[test]
     fn groups_partition_the_suite() {

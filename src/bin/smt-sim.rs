@@ -118,11 +118,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 });
             }
             "--scale" => {
-                opts.scale = match value("--scale")? {
-                    "paper" => Scale::Paper,
-                    "test" => Scale::Test,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
+                opts.scale = value("--scale")?.parse()?;
             }
             "--no-verify" => opts.verify = false,
             "--list" => {
